@@ -22,8 +22,9 @@ Usage:
   scripts/bench.py --validate BENCH_*.json         # schema check
   scripts/bench.py --self-test                     # harness unit tests
 
-Exit codes: 0 ok; 1 regression beyond --fail-threshold or validation
-failure; 2 usage/environment error.
+Exit codes: 0 ok; 1 regression beyond --fail-threshold, validation
+failure, or a measurement run that failed or printed unparseable
+output; 2 usage/environment error.
 """
 
 import argparse
@@ -72,6 +73,12 @@ def log(msg):
 def die(msg, code=2):
     print(f"[bench] error: {msg}", file=sys.stderr, flush=True)
     sys.exit(code)
+
+
+class BenchFailure(Exception):
+    """A measurement run failed or printed output that cannot be
+    parsed: its numbers are missing, so the whole harness fails
+    rather than writing an artifact without them."""
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +347,19 @@ def load_single_run_doc(path):
 
 
 def parse_google_benchmark(text):
-    """google-benchmark --benchmark_format=json -> name -> record."""
+    """google-benchmark --benchmark_format=json -> name -> record.
+
+    Raises BenchFailure when any row reports error_occurred: such rows
+    carry a 0 time that must never be stored as a measurement.
+    """
     doc = json.loads(text)
     out = {}
+    errors = []
     for b in doc.get("benchmarks", []):
+        if b.get("error_occurred"):
+            errors.append(f"{b['name']}: "
+                          f"{b.get('error_message', 'error_occurred')}")
+            continue
         if b.get("run_type") == "aggregate":
             continue
         name = b["name"]
@@ -355,6 +371,9 @@ def parse_google_benchmark(text):
             out[f"crc.{name}.bytesPerSecond"] = {
                 "unit": "bytes/s", "better": "higher",
                 "value": float(b["bytes_per_second"])}
+    if errors:
+        raise BenchFailure("benchmark rows reported errors: "
+                           + "; ".join(errors))
     return out
 
 
@@ -383,11 +402,11 @@ class AreaRunner:
             f"--benchmark_min_time={self.profile['crc_min_time']}"]
         ok, _, output = run_command(cmd)
         if not ok:
-            return None, f"micro_crc failed: {output[-300:]}"
+            raise BenchFailure(f"micro_crc failed: {output[-300:]}")
         try:
             return parse_google_benchmark(output), None
         except (json.JSONDecodeError, KeyError) as e:
-            return None, f"micro_crc output unparseable: {e}"
+            raise BenchFailure(f"micro_crc output unparseable: {e}")
 
     def run_trace(self):
         out = self._tmp("trace.json")
@@ -418,65 +437,66 @@ class AreaRunner:
         except (OSError, json.JSONDecodeError, KeyError) as e:
             return None, f"micro_memsystem --json unsupported: {e}"
 
+    def _json_run(self, cmd, out):
+        """Run cmd, which writes a bench_json.hh document to out, and
+        return its records; BenchFailure when either step fails."""
+        ok, _, output = run_command(cmd)
+        if not ok:
+            raise BenchFailure(f"{' '.join(cmd)} failed: {output[-300:]}")
+        try:
+            return load_single_run_doc(out)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise BenchFailure(f"{out}: unparseable output of "
+                               f"{os.path.basename(cmd[0])}: {e!r}")
+
     def run_e2e(self):
         p = self.profile
         records = {}
+        cell_args = ["--workload", "all", "--tech", p["techs"],
+                     "--frames", str(p["frames"]),
+                     "--width", str(p["width"]),
+                     "--height", str(p["height"])]
 
-        # micro_pipeline: per-cell and total frames/s (new in this
-        # harness's revision; degrade without it).
-        out = self._tmp("pipeline.json")
-        cmd = pin_prefix(self.pin) + [
-            self.binary("micro_pipeline"),
-            "--workload", "all", "--tech", p["techs"],
-            "--frames", str(p["frames"]),
-            "--width", str(p["width"]), "--height", str(p["height"]),
-            "--json", out]
-        ok, _, output = run_command(cmd)
-        if ok:
-            try:
-                records.update(load_single_run_doc(out))
-            except (OSError, json.JSONDecodeError, KeyError):
-                pass
+        # micro_pipeline: per-cell and total frames/s. A revision that
+        # predates the binary contributes no pipeline records
+        # (--compare lists them as only-in-new); a run that fails or
+        # writes an unparseable document fails the harness.
+        pipeline = self.binary("micro_pipeline")
+        if os.path.exists(pipeline):
+            out = self._tmp("pipeline.json")
+            records.update(self._json_run(
+                pin_prefix(self.pin) + [pipeline] + cell_args
+                + ["--json", out], out))
 
-        # micro_pipeline with the observability layer on (timeline +
-        # per-frame artifacts): quantifies the tracing-enabled cost
-        # next to the default-off pipeline.* numbers. Only the total
-        # is kept — per-cell obs numbers add noise, not signal. New
-        # in this harness's revision; degrade without --obs-dir.
-        out_obs = self._tmp("pipeline_obs.json")
-        cmd = pin_prefix(self.pin) + [
-            self.binary("micro_pipeline"),
-            "--workload", "all", "--tech", p["techs"],
-            "--frames", str(p["frames"]),
-            "--width", str(p["width"]), "--height", str(p["height"]),
-            "--json", out_obs, "--obs-dir", self._tmp("obs_artifacts")]
-        ok, _, output = run_command(cmd)
-        if ok:
-            try:
-                doc = load_single_run_doc(out_obs)
-                total = doc.get("pipeline.total.framesPerSecond")
-                if total:
-                    records["pipelineObs.total.framesPerSecond"] = total
-            except (OSError, json.JSONDecodeError, KeyError):
-                pass
+            # micro_pipeline with the observability layer on (timeline
+            # + per-frame artifacts): quantifies the tracing-enabled
+            # cost next to the default-off pipeline.* numbers. Only
+            # the total is kept — per-cell obs numbers add noise, not
+            # signal.
+            out_obs = self._tmp("pipeline_obs.json")
+            total = self._json_run(
+                pin_prefix(self.pin) + [pipeline] + cell_args
+                + ["--json", out_obs,
+                   "--obs-dir", self._tmp("obs_artifacts")],
+                out_obs).get("pipeline.total.framesPerSecond")
+            if total is None:
+                raise BenchFailure(f"{out_obs}: no "
+                                   "pipeline.total.framesPerSecond")
+            records["pipelineObs.total.framesPerSecond"] = total
+        else:
+            log("micro_pipeline not built: no pipeline.* records")
 
         # suite_cli sweep timed from outside: measures the whole
         # binary (scene gen + sim + report) and works for any
         # revision, including ones predating --timing-json.
-        csv_tmp = self._tmp("sweep.csv")
-        cmd = pin_prefix(self.pin) + [
-            self.binary("suite_cli"),
-            "--workload", "all", "--tech", p["techs"],
-            "--frames", str(p["frames"]),
-            "--width", str(p["width"]), "--height", str(p["height"]),
-            "--quiet", "--csv", csv_tmp, "--jobs", "1"]
+        cmd = pin_prefix(self.pin) + [self.binary("suite_cli")] \
+            + cell_args + ["--quiet", "--csv", self._tmp("sweep.csv"),
+                           "--jobs", "1"]
         ok, seconds, output = run_command(cmd)
         if not ok:
-            return None, f"suite_cli failed: {output[-300:]}"
+            raise BenchFailure(f"suite_cli failed: {output[-300:]}")
         records["sweep.wallSeconds"] = {
             "unit": "s", "better": "lower", "value": seconds}
-        if not records:
-            return None, "no e2e records collected"
         return records, None
 
     def run_area(self, area):
@@ -503,7 +523,11 @@ def measure(build_dir, areas, profile_name, repeat, warmup, pin,
             total = warmup + repeat
             for i in range(total):
                 phase = "warmup" if i < warmup else "measure"
-                records, why = runner.run_area(area)
+                try:
+                    records, why = runner.run_area(area)
+                except BenchFailure as e:
+                    raise BenchFailure(f"area {area}, run {i + 1}/"
+                                       f"{total}: {e}") from None
                 if records is None:
                     skipped = why
                     log(f"area {area}: skipped ({why})")
@@ -754,6 +778,57 @@ def self_test():
         check(records is None and "micro_crc missing" in why,
               "missing micro_crc degrades to a skip reason")
 
+    # google-benchmark error rows fail instead of reading as 0 ns.
+    gbench = {"benchmarks": [
+        {"name": "BM_Ok/64", "run_type": "iteration", "real_time": 12.5,
+         "time_unit": "ns", "bytes_per_second": 5.0e9},
+        {"name": "BM_Crc32BackendBulk/2/64", "run_type": "iteration",
+         "error_occurred": True,
+         "error_message": "backend not available on this machine",
+         "real_time": 0.0, "time_unit": "ns"}]}
+    try:
+        parse_google_benchmark(json.dumps(gbench))
+        check(False, "error_occurred row fails the crc parse")
+    except BenchFailure as e:
+        check("BM_Crc32BackendBulk/2/64" in str(e),
+              "error_occurred row fails the crc parse, naming the row")
+    gbench["benchmarks"].pop()
+    parsed = parse_google_benchmark(json.dumps(gbench))
+    check(parsed["crc.BM_Ok/64.realTime"]["value"] == 12.5
+          and len(parsed) == 2, "error-free rows still parse")
+
+    # A failing or unparseable micro_pipeline fails the e2e area
+    # instead of silently dropping its records.
+    with tempfile.TemporaryDirectory() as tmp:
+        def fake_binary(name, body):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                f.write("#!/bin/sh\n" + body + "\n")
+            os.chmod(path, 0o755)
+
+        fake_binary("suite_cli", "exit 0")
+        runner = AreaRunner(tmp, "S", pin=False, scratch=tmp)
+        fake_binary("micro_pipeline", "echo boom >&2; exit 3")
+        try:
+            runner.run_e2e()
+            check(False, "failing micro_pipeline fails e2e")
+        except BenchFailure as e:
+            check("boom" in str(e), "failing micro_pipeline fails e2e, "
+                  "quoting its output")
+        # Writes "{not json" to the file after --json.
+        fake_binary("micro_pipeline", 'while [ "$1" != --json ]; do '
+                    'shift; done; printf "{not json" > "$2"')
+        try:
+            runner.run_e2e()
+            check(False, "unparseable micro_pipeline output fails e2e")
+        except BenchFailure as e:
+            check("unparseable" in str(e),
+                  "unparseable micro_pipeline output fails e2e")
+        os.remove(os.path.join(tmp, "micro_pipeline"))
+        records, _ = runner.run_e2e()
+        check(list(records) == ["sweep.wallSeconds"],
+              "absent micro_pipeline (older revision) keeps the sweep")
+
     # Compare threshold logic, both directions.
     def doc_with(value, better, name="bench.x"):
         return canonical_doc(
@@ -870,13 +945,17 @@ def main():
     log(f"profile {args.profile}, repeat {args.repeat} "
         f"(+{args.warmup} warmup), commit {env['commit']}")
 
-    docs = measure(args.build_dir, areas, args.profile, args.repeat,
-                   args.warmup, pin, env, args.out_dir)
-
-    if args.git_commit:
+    try:
+        docs = measure(args.build_dir, areas, args.profile, args.repeat,
+                       args.warmup, pin, env, args.out_dir)
         old_docs = measure_git_revision(
             args.git_commit, areas, args.profile, args.repeat,
-            args.warmup, pin, args.keep_worktree)
+            args.warmup, pin, args.keep_worktree) \
+            if args.git_commit else None
+    except BenchFailure as e:
+        die(str(e), code=1)
+
+    if old_docs is not None:
         any_regressions = False
         for area in areas:
             rows, regressions = compare_docs(

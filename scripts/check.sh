@@ -10,7 +10,11 @@
 # sweep must be bit-identical across --tile-jobs 1/4/8, with the
 # observability sink off and on) and a trace record->verify->replay
 # pass (replaying a recorded trace must emit a CSV bit-identical to
-# the live run, and trace_cli verify must hold).
+# the live run, and trace_cli verify must hold). A modelled-output
+# gate then runs perfbench's three workloads for one second each:
+# every cell's framebuffer and stat digests must match the committed
+# perfbench/expected_digests.json, so a fast path that shifts any
+# modelled number fails the everyday check, not only the benchmark.
 #
 # Static & concurrency analysis gates:
 #  - scripts/lint.py (repo-invariant linter) and scripts/analyze.py
@@ -79,7 +83,8 @@ TSA_DIR=build-tsa
 # aborts the script inside a failing pass, whatever gate is still
 # marked FAILED at EXIT is the one that sank the run. The table prints
 # from the EXIT trap, after tmpfile cleanup, success or not.
-GATE_ORDER=(lint analyze build ctest smokes obs tidy tsa asan tsan bench)
+GATE_ORDER=(lint analyze build ctest smokes digests obs tidy tsa asan tsan
+            bench)
 declare -A GATE_STATUS
 for g in "${GATE_ORDER[@]}"; do GATE_STATUS[$g]="not run"; done
 
@@ -346,6 +351,33 @@ EOF
     gate_end obs
 }
 
+run_digest_pass() {
+    gate_begin digests
+    echo "== modelled-output gate (perfbench reference digests) =="
+    if ! command -v python3 > /dev/null 2>&1; then
+        echo "#########################################################" >&2
+        echo "## WARNING: python3 is NOT installed — SKIPPING the    ##" >&2
+        echo "## reference-digest gate on modelled outputs.          ##" >&2
+        echo "#########################################################" >&2
+        gate_skip digests "python3 not installed"
+        return 0
+    fi
+    local w last
+    for w in static-re motion-full motion-pool; do
+        last=$(python3 perfbench/run.py --workload "$w" --seed 1 \
+                   --seconds 1 --trace 0 | tail -n 1)
+        if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+                "$last"; then
+            echo "ERROR: $w: modelled outputs differ from" \
+                 "perfbench/expected_digests.json: $last" >&2
+            exit 1
+        fi
+        echo "$w: every cell matches its reference digest"
+    done
+    gate_end digests
+}
+
 run_build_pass() {
     gate_begin build
     echo "== configure =="
@@ -478,6 +510,7 @@ if [[ "${1:-}" != "--unit" ]]; then
     "$BUILD_DIR"/micro_memsystem --accesses 200000 --mix-frames 4
     gate_end smokes
 
+    run_digest_pass
     run_obs_smoke
     run_tidy_pass
     run_tsa_pass

@@ -39,6 +39,9 @@ validateCacheGeometry(const CacheParams &p)
 {
     if (p.lineBytes == 0)
         fatal("cache '", p.name, "': lineBytes must be >= 1 (got 0)");
+    if ((p.lineBytes & (p.lineBytes - 1)) != 0)
+        fatal("cache '", p.name, "': lineBytes must be a power of two "
+              "(got ", p.lineBytes, ")");
     if (p.ways == 0)
         fatal("cache '", p.name, "': ways must be >= 1 (got 0)");
     const u64 setBytes = static_cast<u64>(p.lineBytes) * p.ways;

@@ -49,11 +49,11 @@ void validateMemoLutGeometry(u32 entries, u32 ways,
                              const char *context);
 
 /**
- * Shared guard for cache geometry: fatal() when @p p has zero
- * lineBytes, zero ways, fewer bytes than one full set, or a
- * non-power-of-two set count (the set-index mask arithmetic would be
- * undefined or silently alias). Used by GpuConfig::validate and the
- * CacheModel constructor.
+ * Shared guard for cache geometry: fatal() when @p p has zero or
+ * non-power-of-two lineBytes, zero ways, fewer bytes than one full
+ * set, or a non-power-of-two set count (the cache model's line shift
+ * and set-index mask would be undefined or silently alias). Used by
+ * GpuConfig::validate and the CacheModel constructor.
  * @return the (validated, power-of-two) number of sets
  */
 u64 validateCacheGeometry(const CacheParams &p);
@@ -170,8 +170,8 @@ struct GpuConfig
      * behaviour downstream: zero tile/screen dimensions, memoization
      * LUT geometry with zero ways / fewer entries than ways / a
      * non-multiple entry count (MemoLut would compute `sig % 0`),
-     * cache geometries with zero lineBytes / zero ways / a
-     * non-power-of-two set count, a zero-bandwidth DRAM
+     * cache geometries with zero or non-power-of-two lineBytes /
+     * zero ways / a non-power-of-two set count, a zero-bandwidth DRAM
      * (dramBytesPerCycle == 0 divides by zero in the transfer-cycle
      * math), a zero-depth DRAM queue, or zero texel MLP.
      */

@@ -8,12 +8,23 @@
 #define REGPU_GPU_COLOR_HH
 
 #include <algorithm>
+#include <array>
 
 #include "common/types.hh"
 #include "common/vecmath.hh"
 
 namespace regpu
 {
+
+/** unorm8 -> float: entry i holds i / 255.0f, the same correctly
+ *  rounded quotient the division produces, so a lookup is an exact
+ *  stand-in for it. */
+inline constexpr std::array<float, 256> unorm8ToFloat = [] {
+    std::array<float, 256> t{};
+    for (int i = 0; i < 256; i++)
+        t[i] = i / 255.0f;
+    return t;
+}();
 
 /** Packed 8-bit-per-channel RGBA color. */
 struct Color
@@ -54,9 +65,13 @@ struct Color
     Vec4
     toVec4() const
     {
-        return {r / 255.0f, g / 255.0f, b / 255.0f, a / 255.0f};
+        return {unorm8ToFloat[r], unorm8ToFloat[g], unorm8ToFloat[b],
+                unorm8ToFloat[a]};
     }
 };
+
+// Framebuffer spans compare and copy Colors as raw bytes.
+static_assert(sizeof(Color) == 4, "Color must be four packed bytes");
 
 /** Blend modes supported by the Blend unit. */
 enum class BlendMode

@@ -1,28 +1,18 @@
 #include "gpu/framebuffer.hh"
 
+#include <cstring>
+
 namespace regpu
 {
 
 void
 FrameBuffer::writeTile(TileId tile, const std::vector<Color> &colors)
 {
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
-    auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            surf[static_cast<std::size_t>(y) * config.screenWidth + x] =
-                colors[static_cast<std::size_t>(dy) * config.tileWidth + dx];
-        }
-    }
+    Color *surf = surfaces[back].data();
+    forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 n) {
+        std::copy_n(colors.data() + t, n, surf + s);
+        return true;
+    });
 }
 
 std::vector<Color>
@@ -30,49 +20,22 @@ FrameBuffer::readTile(TileId tile) const
 {
     std::vector<Color> out(static_cast<std::size_t>(config.tileWidth)
                            * config.tileHeight, Color(0, 0, 0, 0));
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
-    const auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            out[static_cast<std::size_t>(dy) * config.tileWidth + dx] =
-                surf[static_cast<std::size_t>(y) * config.screenWidth + x];
-        }
-    }
+    const Color *surf = surfaces[back].data();
+    forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 n) {
+        std::copy_n(surf + s, n, out.data() + t);
+        return true;
+    });
     return out;
 }
 
 bool
 FrameBuffer::tileEquals(TileId tile, const std::vector<Color> &colors) const
 {
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
-    const auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            if (!(surf[static_cast<std::size_t>(y) * config.screenWidth + x]
-                  == colors[static_cast<std::size_t>(dy)
-                            * config.tileWidth + dx]))
-                return false;
-        }
-    }
-    return true;
+    const Color *surf = surfaces[back].data();
+    return forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 n) {
+        return std::memcmp(surf + s, colors.data() + t,
+                           n * sizeof(Color)) == 0;
+    });
 }
 
 } // namespace regpu

@@ -11,6 +11,7 @@
 #ifndef REGPU_GPU_FRAMEBUFFER_HH
 #define REGPU_GPU_FRAMEBUFFER_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/config.hh"
@@ -110,6 +111,35 @@ class FrameBuffer
     /** Whole back-buffer snapshot (row-major). */
     const std::vector<Color> &backSurface() const
     { return surfaces[back]; }
+
+    /** Whole front-buffer snapshot (row-major). */
+    const std::vector<Color> &frontSurface() const
+    { return surfaces[back ^ 1]; }
+
+    /**
+     * Walk the on-screen rows of @p tile (edge tiles are clipped).
+     * Calls fn(surfaceOffset, tileOffset, pixels) once per row, where
+     * surfaceOffset indexes a full surface and tileOffset a row-major
+     * tileWidth x tileHeight buffer. Stops at the first row for which
+     * fn returns false.
+     * @return true when every row's fn returned true
+     */
+    template <typename Fn>
+    bool
+    forEachTileRow(TileId tile, Fn &&fn) const
+    {
+        const u32 x0 = (tile % config.tilesX()) * config.tileWidth;
+        const u32 y0 = (tile / config.tilesX()) * config.tileHeight;
+        const u32 w = std::min(config.tileWidth, config.screenWidth - x0);
+        const u32 h = std::min(config.tileHeight, config.screenHeight - y0);
+        for (u32 dy = 0; dy < h; dy++) {
+            if (!fn(static_cast<std::size_t>(y0 + dy) * config.screenWidth
+                        + x0,
+                    static_cast<std::size_t>(dy) * config.tileWidth, w))
+                return false;
+        }
+        return true;
+    }
 
   private:
     const GpuConfig &config;

@@ -92,8 +92,6 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
     if (memo)
         memo->tileBegin(tile);
 
-    std::vector<Addr> touchedTexels;
-
     for (const PrimRef &ref : frame.tileLists[tile]) {
         const Primitive &prim = frame.primitives[ref.primIndex];
         const DrawCall &draw = draws[prim.drawIndex];
@@ -202,7 +200,7 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                   case ShaderKind::Textured:
                   case ShaderKind::TexModulate:
                   case ShaderKind::TexLit: {
-                    touchedTexels.clear();
+                    TexelFootprint touchedTexels;
                     Color texel = tex
                         ? Sampler::sample(*tex, uv.x, uv.y,
                                           Sampler::Filter::Bilinear,
@@ -213,11 +211,10 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                         // caches by fragment-quad position.
                         u32 cacheIdx = ((px >> 1) + (py >> 1))
                             % config.numTextureCaches;
-                        for (Addr ta : touchedTexels)
-                            mem->texelFetch(cacheIdx, ta);
+                        for (u32 i = 0; i < touchedTexels.count; i++)
+                            mem->texelFetch(cacheIdx, touchedTexels.addr[i]);
                     }
-                    ts.texelFetches +=
-                        static_cast<u32>(touchedTexels.size());
+                    ts.texelFetches += touchedTexels.count;
                     Vec4 t4 = texel.toVec4();
                     if (draw.state.shader == ShaderKind::Textured) {
                         fcolor = {t4.x * u.tint.x, t4.y * u.tint.y,

@@ -1,7 +1,5 @@
 #include "gpu/texture.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace regpu
@@ -119,25 +117,34 @@ Texture::Texture(u32 id, u32 w, u32 h, TexturePattern pattern, u64 seed)
 
 Color
 Sampler::sample(const Texture &tex, float s, float t, Filter filter,
-                std::vector<Addr> *touched)
+                TexelFootprint *touched)
 {
+    // floor() as truncate-and-adjust: defined for exactly the u on
+    // which static_cast<i32>(std::floor(u)) is, and equal there.
+    auto floorToInt = [](float u) {
+        const i32 i = static_cast<i32>(u);
+        return i - (u < static_cast<float>(i));
+    };
     float u = s * tex.width() - 0.5f;
     float v = t * tex.height() - 0.5f;
     if (filter == Filter::Nearest) {
-        i32 iu = static_cast<i32>(std::floor(u + 0.5f));
-        i32 iv = static_cast<i32>(std::floor(v + 0.5f));
-        if (touched)
-            touched->push_back(tex.texelAddr(iu, iv));
+        i32 iu = floorToInt(u + 0.5f);
+        i32 iv = floorToInt(v + 0.5f);
+        if (touched) {
+            touched->addr[0] = tex.texelAddr(iu, iv);
+            touched->count = 1;
+        }
         return tex.texel(iu, iv);
     }
-    i32 u0 = static_cast<i32>(std::floor(u));
-    i32 v0 = static_cast<i32>(std::floor(v));
+    i32 u0 = floorToInt(u);
+    i32 v0 = floorToInt(v);
     float fu = u - u0, fv = v - v0;
     if (touched) {
-        touched->push_back(tex.texelAddr(u0, v0));
-        touched->push_back(tex.texelAddr(u0 + 1, v0));
-        touched->push_back(tex.texelAddr(u0, v0 + 1));
-        touched->push_back(tex.texelAddr(u0 + 1, v0 + 1));
+        touched->addr[0] = tex.texelAddr(u0, v0);
+        touched->addr[1] = tex.texelAddr(u0 + 1, v0);
+        touched->addr[2] = tex.texelAddr(u0, v0 + 1);
+        touched->addr[3] = tex.texelAddr(u0 + 1, v0 + 1);
+        touched->count = 4;
     }
     Vec4 a = lerp(tex.texel(u0, v0).toVec4(),
                   tex.texel(u0 + 1, v0).toVec4(), fu);

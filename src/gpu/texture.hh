@@ -102,6 +102,13 @@ class Texture
     std::vector<Color> texels;
 };
 
+/** Texel addresses one sample read: 1 (nearest) or 4 (bilinear). */
+struct TexelFootprint
+{
+    Addr addr[4] = {};
+    u32 count = 0;
+};
+
 /**
  * Nearest / bilinear sampler. Also reports the texel addresses it
  * touched so the caller can drive the texture-cache model.
@@ -113,11 +120,12 @@ class Sampler
 
     /**
      * Sample @p tex at normalized coordinates (s, t) with wrapping.
-     * @param touched if non-null, filled with the texel addresses read
+     * @param touched if non-null, overwritten with the texel
+     *                addresses read
      * @return filtered color
      */
     static Color sample(const Texture &tex, float s, float t,
-                        Filter filter, std::vector<Addr> *touched);
+                        Filter filter, TexelFootprint *touched);
 };
 
 } // namespace regpu

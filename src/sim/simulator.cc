@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <cstring>
+
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
@@ -59,12 +61,6 @@ Simulator::run()
     result.technique = config.technique;
     result.frames = options.frames;
 
-    // Memoization hooks into the renderer itself.
-    if (memo) {
-        // GraphicsPipeline consults hooks->memoClient() indirectly via
-        // the TileRenderer; wire it here through the pipeline.
-    }
-
     const u32 numTiles = config.numTiles();
 
     ObsScope runSpan("sim", "run", "frames",
@@ -82,14 +78,6 @@ Simulator::run()
         u64 frameTilesSkipped = 0;
         u64 frameFlushesElided = 0;
         u64 frameFragmentsShaded = 0;
-
-        // Snapshot the current back buffer (it will be overwritten
-        // this frame) so consecutive-frame equality can be measured
-        // against frame f-1's displayed output.
-        const std::vector<Color> *prevBack = nullptr;
-        std::vector<Color> frontCopy;
-        if (f > 0)
-            frontCopy = prevFrameColors;
 
         FrameResult fr = stepFrame(f);
 
@@ -133,53 +121,23 @@ Simulator::run()
             frameFragmentsShaded += out.stats.fragmentsShaded;
         }
 
-        // ---- Fig. 2 metric: equality vs the immediately previous
-        // frame's rendered output (the buffer just swapped to front).
-        {
-            const auto &surfNow = pipe->frameBuffer().backSurface();
-            // After swap, "back" is the older surface; the frame just
-            // rendered is the front. Compare front vs saved previous.
-            // Simpler: reconstruct the just-rendered surface by
-            // reading the front buffer through frontPixel.
-            const GpuConfig &cfg = config;
-            if (f > 0 && !frontCopy.empty()) {
-                for (TileId t = 0; t < numTiles; t++) {
-                    const u32 tx = (t % cfg.tilesX()) * cfg.tileWidth;
-                    const u32 ty = (t / cfg.tilesX()) * cfg.tileHeight;
-                    bool equal = true;
-                    for (u32 dy = 0; dy < cfg.tileHeight && equal; dy++) {
-                        u32 y = ty + dy;
-                        if (y >= cfg.screenHeight)
-                            break;
-                        for (u32 dx = 0; dx < cfg.tileWidth; dx++) {
-                            u32 x = tx + dx;
-                            if (x >= cfg.screenWidth)
-                                break;
-                            std::size_t idx =
-                                static_cast<std::size_t>(y)
-                                * cfg.screenWidth + x;
-                            if (!(pipe->frameBuffer().frontPixel(x, y)
-                                  == frontCopy[idx])) {
-                                equal = false;
-                                break;
-                            }
-                        }
-                    }
-                    comparedConsecutiveTiles++;
-                    if (equal)
-                        equalConsecutiveTiles++;
-                }
+        // ---- Fig. 2 metric: equality vs the previous frame's output.
+        // The frame just rendered is now the front buffer.
+        const FrameBuffer &fb = pipe->frameBuffer();
+        const std::vector<Color> &front = fb.frontSurface();
+        if (f > 0) {
+            for (TileId t = 0; t < numTiles; t++) {
+                comparedConsecutiveTiles++;
+                if (fb.forEachTileRow(t, [&](std::size_t s, std::size_t,
+                                             u32 n) {
+                        return std::memcmp(front.data() + s,
+                                           prevFrameColors.data() + s,
+                                           n * sizeof(Color)) == 0;
+                    }))
+                    equalConsecutiveTiles++;
             }
-            (void)surfNow;
-            (void)prevBack;
-            // Save the just-rendered frame (now the front buffer).
-            prevFrameColors.resize(pipe->frameBuffer().pixelCount());
-            for (u32 y = 0; y < cfg.screenHeight; y++)
-                for (u32 x = 0; x < cfg.screenWidth; x++)
-                    prevFrameColors[static_cast<std::size_t>(y)
-                                    * cfg.screenWidth + x] =
-                        pipe->frameBuffer().frontPixel(x, y);
         }
+        prevFrameColors.assign(front.begin(), front.end());
 
         // ---- Timing ------------------------------------------------------
         MemFrameSummary memSum = mem->endFrame();

@@ -142,7 +142,8 @@ class Simulator
     EnergyModel energy;
     std::unique_ptr<RunObsWriter> obsWriter;  //!< only with obsDir set
 
-    // Previous-frame back-buffer copy for the Fig. 2 metric.
+    // The previous frame's output (then the front buffer), for the
+    // Fig. 2 metric.
     std::vector<Color> prevFrameColors;
     u64 equalConsecutiveTiles = 0;
     u64 comparedConsecutiveTiles = 0;

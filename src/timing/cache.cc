@@ -7,10 +7,10 @@ namespace regpu
 
 CacheModel::CacheModel(const CacheParams &params)
     : params_(params), numSets(validateCacheGeometry(params)),
-      sets(numSets)
+      lineShift_(__builtin_ctz(params.lineBytes)),
+      setShift_(__builtin_ctzll(numSets)),
+      ways_(numSets * params.ways)
 {
-    for (auto &set : sets)
-        set.ways.resize(params.ways);
 }
 
 void
@@ -64,21 +64,22 @@ CacheModel::access(Addr addr, bool write, TrafficClass cls)
 CacheAccessResult
 CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
 {
-    const Addr line = addr / params_.lineBytes;
+    const Addr line = addr >> lineShift_;
     const u64 setIdx = line & (numSets - 1);
-    const Addr tag = line >> __builtin_ctzll(numSets);
-    Set &set = sets[setIdx];
+    const Addr tag = line >> setShift_;
+    Way *const set = &ways_[setIdx * params_.ways];
+    Way *const setEnd = set + params_.ways;
     accesses_++;
     stamp++;
 
     CacheAccessResult result;
     result.latency = params_.hitLatency;
 
-    for (Way &w : set.ways) {
-        if (w.valid && w.tag == tag) {
+    for (Way *w = set; w != setEnd; w++) {
+        if (w->valid && w->tag == tag) {
             hits_++;
-            w.lastUse = stamp;
-            w.dirty |= write;
+            w->lastUse = stamp;
+            w->dirty |= write;
             result.hit = true;
             return result;
         }
@@ -86,23 +87,22 @@ CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
 
     // Miss: allocate over the LRU way.
     misses_++;
-    Way *victim = &set.ways[0];
-    for (Way &w : set.ways) {
-        if (!w.valid) {
-            victim = &w;
+    Way *victim = set;
+    for (Way *w = set; w != setEnd; w++) {
+        if (!w->valid) {
+            victim = w;
             break;
         }
-        if (w.lastUse < victim->lastUse)
-            victim = &w;
+        if (w->lastUse < victim->lastUse)
+            victim = w;
     }
     if (victim->valid && victim->dirty) {
         writebacks_++;
         result.writeback = true;
         // Reconstruct the victim's byte address from its tag: the
         // dirty data leaves at *its* address, not the requester's.
-        const Addr victimLine =
-            (victim->tag << __builtin_ctzll(numSets)) | setIdx;
-        result.writebackAddr = victimLine * params_.lineBytes;
+        const Addr victimLine = (victim->tag << setShift_) | setIdx;
+        result.writebackAddr = victimLine << lineShift_;
         propagateWriteback(result.writebackAddr, victim->cls);
     }
     // Read misses fetch the line from the next level; write misses
@@ -110,7 +110,7 @@ CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
     // file comment). Writes are posted, so only the fill adds
     // latency.
     if (!write)
-        result.latency += propagateFill(line * params_.lineBytes, cls);
+        result.latency += propagateFill(line << lineShift_, cls);
     victim->valid = true;
     victim->tag = tag;
     victim->dirty = write;
@@ -127,11 +127,10 @@ CacheModel::accessRange(Addr addr, u32 bytes, bool write,
     if (bytes == 0)
         return out; // zero-byte ranges touch nothing
     demandBytes_[static_cast<u8>(cls)] += bytes;
-    const Addr first = addr / params_.lineBytes;
-    const Addr last = (addr + bytes - 1) / params_.lineBytes;
+    const Addr first = addr >> lineShift_;
+    const Addr last = (addr + bytes - 1) >> lineShift_;
     for (Addr line = first; line <= last; line++) {
-        CacheAccessResult r =
-            accessLine(line * params_.lineBytes, write, cls);
+        CacheAccessResult r = accessLine(line << lineShift_, write, cls);
         if (!r.hit)
             out.missLines++;
         if (r.writeback)
@@ -146,16 +145,15 @@ CacheModel::accessRange(Addr addr, u32 bytes, bool write,
 void
 CacheModel::invalidateAll()
 {
+    Way *w = ways_.data();
     for (u64 s = 0; s < numSets; s++) {
-        for (Way &w : sets[s].ways) {
-            if (w.valid && w.dirty) {
+        for (u32 k = 0; k < params_.ways; k++, w++) {
+            if (w->valid && w->dirty) {
                 writebacks_++;
-                const Addr victimLine =
-                    (w.tag << __builtin_ctzll(numSets)) | s;
-                propagateWriteback(victimLine * params_.lineBytes,
-                                   w.cls);
+                const Addr victimLine = (w->tag << setShift_) | s;
+                propagateWriteback(victimLine << lineShift_, w->cls);
             }
-            w = Way{};
+            *w = Way{};
         }
     }
 }

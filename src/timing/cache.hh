@@ -160,14 +160,13 @@ class CacheModel
         u64 lastUse = 0;
         TrafficClass cls = TrafficClass::Geometry;
     };
-    struct Set
-    {
-        std::vector<Way> ways;
-    };
 
     CacheParams params_;
     u64 numSets;
-    std::vector<Set> sets;
+    u32 lineShift_; //!< log2(lineBytes): byte address -> line
+    u32 setShift_;  //!< log2(numSets): line -> tag
+    /** All ways, set-major: set s owns [s * ways, (s + 1) * ways). */
+    std::vector<Way> ways_;
     CacheModel *next_ = nullptr;
     DramModel *dram_ = nullptr;
     u64 stamp = 0;

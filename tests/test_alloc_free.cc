@@ -4,8 +4,8 @@
  * this binary replaces the global operator new/delete with counting
  * wrappers and asserts that the signature hot paths - CRC streaming,
  * the pluggable HashStream, the stack-buffer serializers, the fragment
- * signature and the RE/TE per-tile hooks - perform zero heap
- * allocations at steady state.
+ * signature and the RE/TE per-tile hooks - and the texture sampler
+ * perform zero heap allocations at steady state.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "common/stats.hh"
 #include "crc/hashes.hh"
 #include "gpu/raster.hh"
+#include "gpu/texture.hh"
 #include "re/rendering_elimination.hh"
 #include "te/transaction_elimination.hh"
 
@@ -145,6 +146,18 @@ TEST(AllocFree, FragmentSignature)
         draw, Vec4{1, 1, 1, 1}, Vec2{0.25f, 0.75f}, 1.0f);
     EXPECT_EQ(probe.count(), 0u);
     EXPECT_NE(sig, 0u);
+}
+
+TEST(AllocFree, SamplerBilinear)
+{
+    Texture tex(0, 64, 64, TexturePattern::Noise, 3);
+    AllocProbe probe;
+    TexelFootprint touched;
+    Color c = Sampler::sample(tex, 0.37f, -1.61f,
+                              Sampler::Filter::Bilinear, &touched);
+    EXPECT_EQ(probe.count(), 0u);
+    EXPECT_EQ(touched.count, 4u);
+    (void)c;
 }
 
 TEST(AllocFree, TransactionEliminationTileHashSteadyState)

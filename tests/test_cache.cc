@@ -85,6 +85,29 @@ TEST(CacheModel, DirtyEvictionReportsWritebackWithVictimAddress)
     EXPECT_EQ(c.writebacks(), 1u);
 }
 
+TEST(CacheModel, VictimAddressKeepsSetIndexAndTag)
+{
+    // Set 3, tag 5, mid-line offset: the reconstructed victim address
+    // must carry every bit of the line address, not just the tag.
+    CacheModel c(smallCache());
+    const Addr stride = 8 * 64;
+    const Addr victim = 5 * stride + 3 * 64;
+    c.access(victim + 17, true);
+    c.access(6 * stride + 3 * 64, false);
+    CacheAccessResult r = c.access(7 * stride + 3 * 64, false);
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.writebackAddr, victim);
+
+    // invalidateAll reconstructs the same address for its flush.
+    CacheModel l1(smallCache(1024, 2, 64, "l1"));
+    CacheModel l2(smallCache(4096, 4, 64, "l2"));
+    l1.linkNextLevel(&l2);
+    l1.access(victim + 17, true);
+    l1.invalidateAll();
+    EXPECT_EQ(l2.accesses(), 1u);
+    EXPECT_TRUE(l2.access(victim, false).hit);
+}
+
 TEST(CacheModel, AccessRangeSplitsIntoLines)
 {
     CacheModel c(smallCache());

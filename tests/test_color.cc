@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "gpu/color.hh"
 
 using namespace regpu;
@@ -32,6 +34,21 @@ TEST(Color, ToVec4RoundTripWithinQuantum)
     Color c(100, 150, 200, 250);
     Color back = Color::fromVec4(c.toVec4());
     EXPECT_EQ(back, c);
+}
+
+TEST(Color, ToVec4TableMatchesDivisionExhaustively)
+{
+    // The lookup table must be an exact stand-in for the division it
+    // replaced: same IEEE bits for every byte value.
+    for (u32 i = 0; i < 256; i++) {
+        const u8 b = static_cast<u8>(i);
+        const Vec4 v = Color(b, b, b, b).toVec4();
+        const u32 want = std::bit_cast<u32>(static_cast<float>(i) / 255.0f);
+        EXPECT_EQ(std::bit_cast<u32>(v.x), want) << i;
+        EXPECT_EQ(std::bit_cast<u32>(v.y), want) << i;
+        EXPECT_EQ(std::bit_cast<u32>(v.z), want) << i;
+        EXPECT_EQ(std::bit_cast<u32>(v.w), want) << i;
+    }
 }
 
 TEST(Blend, ReplaceIgnoresDestination)

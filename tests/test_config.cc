@@ -110,6 +110,14 @@ TEST(GpuConfigDeathTest, ZeroLineBytesIsFatal)
                 "lineBytes must be >= 1");
 }
 
+TEST(GpuConfigDeathTest, NonPowerOfTwoLineBytesIsFatal)
+{
+    GpuConfig bad;
+    bad.textureCache.lineBytes = 48;
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "lineBytes must be a power of two \\(got 48\\)");
+}
+
 TEST(GpuConfigDeathTest, ZeroWaysIsFatal)
 {
     GpuConfig bad;
