@@ -410,32 +410,18 @@ class AreaRunner:
 
     def run_trace(self):
         out = self._tmp("trace.json")
-        cmd = pin_prefix(self.pin) + [
+        return self._json_run(pin_prefix(self.pin) + [
             self.binary("micro_trace"),
             "--frames", str(self.profile["trace_frames"]),
-            "--json", out]
-        ok, _, output = run_command(cmd)
-        if not ok:
-            return None, f"micro_trace failed: {output[-300:]}"
-        try:
-            return load_single_run_doc(out), None
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            return None, f"micro_trace --json unsupported: {e}"
+            "--json", out], out), None
 
     def run_memsystem(self):
         out = self._tmp("memsystem.json")
-        cmd = pin_prefix(self.pin) + [
+        return self._json_run(pin_prefix(self.pin) + [
             self.binary("micro_memsystem"),
             "--accesses", str(self.profile["accesses"]),
             "--mix-frames", str(self.profile["mix_frames"]),
-            "--json", out]
-        ok, _, output = run_command(cmd)
-        if not ok:
-            return None, f"micro_memsystem failed: {output[-300:]}"
-        try:
-            return load_single_run_doc(out), None
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            return None, f"micro_memsystem --json unsupported: {e}"
+            "--json", out], out), None
 
     def _json_run(self, cmd, out):
         """Run cmd, which writes a bench_json.hh document to out, and
@@ -828,6 +814,25 @@ def self_test():
         records, _ = runner.run_e2e()
         check(list(records) == ["sweep.wallSeconds"],
               "absent micro_pipeline (older revision) keeps the sweep")
+
+        # The trace and memsystem areas fail the same way: only
+        # micro_crc may turn its area into a "skipped" document.
+        for area, binary in (("trace", "micro_trace"),
+                             ("memsystem", "micro_memsystem")):
+            fake_binary(binary, "echo boom >&2; exit 3")
+            try:
+                runner.run_area(area)
+                check(False, f"failing {binary} fails {area}")
+            except BenchFailure as e:
+                check("boom" in str(e),
+                      f"failing {binary} fails {area}, quoting its output")
+            fake_binary(binary, "exit 0")  # writes no document
+            try:
+                runner.run_area(area)
+                check(False, f"missing {binary} document fails {area}")
+            except BenchFailure as e:
+                check("unparseable" in str(e),
+                      f"missing {binary} document fails {area}")
 
     # Compare threshold logic, both directions.
     def doc_with(value, better, name="bench.x"):

@@ -16,7 +16,7 @@ GraphicsPipeline::GraphicsPipeline(const GpuConfig &_config,
                                    const std::vector<Texture> &_textures)
     : config(_config), stats(_stats), mem(_mem), textures(_textures),
       geometry(_config, _stats, _mem), plb(_config, _stats, _mem),
-      renderer(_config, _stats, _mem, _textures), fb(_config)
+      fb(_config)
 {
 }
 
@@ -43,7 +43,6 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     const bool reSafe = !commands.globalStateChanged;
     if (hooks)
         hooks->frameBegin(frameCounter, reSafe);
-    renderer.setMemoClient(hooks ? hooks->memoClient() : nullptr);
 
     // ---- Geometry Pipeline + Tiling Engine -----------------------------
     plb.beginFrame(result.binned);
@@ -91,211 +90,145 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                        static_cast<i64>(frameCounter), "tiles",
                        static_cast<i64>(numTiles));
 
-    const bool split =
-        !hooks || (hooks->tileWorkersSafe() && !hooks->memoClient());
-    if (split) {
-        // Phase-1/merge split (docs/ARCHITECTURE.md): workers render
-        // and signature tiles into private slots, the caller folds
-        // everything order-sensitive back in strict tile order. Used
-        // for every tile-jobs value including 1, so technique output
-        // cannot depend on the worker count.
-        struct TileTask
-        {
-            std::vector<Color> colors;
-            MemEventRecorder memEvents;
-            StatRegistry localStats;
-            TileRenderStats renderStats;
-            u32 preparedFlush = 0;
-            bool render = true;
-            bool equalColors = false;
-        };
-        // Direct mode: with one worker, phase1(t) and merge(t) run
-        // inline back to back on this thread, so the tile-private
-        // record/replay indirection buys nothing - render straight
-        // into the shared MemSystem/StatRegistry (same accesses, same
-        // order), make the counted render decision once instead of
-        // peek-then-confirm, and reuse a single task slot so the
-        // color vector's capacity survives across tiles, like the
-        // serial loop always did. The observable access/stat stream
-        // per tile is [counted decision][render traffic][flush] in
-        // both modes, which is what keeps output bit-identical across
-        // --tile-jobs values (the check.sh 3-way cmp proves it).
-        const bool direct = tileJobs <= 1;
-        std::vector<TileTask> tasks(direct ? 1u : numTiles);
-        auto taskFor = [&](TileId tile) -> TileTask & {
-            return tasks[direct ? 0 : tile];
-        };
+    // Phase-1/merge split (docs/ARCHITECTURE.md): phase1 renders and
+    // signatures a tile into its private task slot, merge folds
+    // everything order-sensitive back in strict tile order. Hooks
+    // that hold mutable per-tile state across renderTile (Fragment
+    // Memoization's LUT) or never opted into the split contract are
+    // forced into direct mode, so they see exactly the serial calls.
+    FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
+    const bool workersSafe =
+        !hooks || (hooks->tileWorkersSafe() && !memo);
+    if (tileJobs > 1 && !workersSafe)
+        warnOnce("--tile-jobs ", tileJobs, " requested but the "
+                 "attached technique is not tile-parallel-safe; "
+                 "rendering tiles serially");
+    struct TileTask
+    {
+        std::vector<Color> colors;
+        MemEventRecorder memEvents;
+        TileRenderStats renderStats;
+        u32 preparedFlush = 0;
+        bool render = true;
+        bool equalColors = false;
+    };
+    // Direct mode: with one worker or forced-serial hooks, phase1(t)
+    // and merge(t) run inline back to back on this thread, so the
+    // tile-private record/replay indirection buys nothing - render
+    // straight into the shared MemSystem (same accesses, same order),
+    // make the counted render decision once instead of
+    // peek-then-confirm, and reuse a single task slot so the color
+    // vector's capacity survives across tiles. The observable
+    // access/stat stream per tile is [counted decision][render
+    // traffic][flush] in both modes, which is what keeps output
+    // bit-identical across --tile-jobs values (the check.sh 3-way
+    // cmp proves it).
+    const bool direct = tileJobs <= 1 || !workersSafe;
+    std::vector<TileTask> tasks(direct ? 1u : numTiles);
+    auto taskFor = [&](TileId tile) -> TileTask & {
+        return tasks[direct ? 0 : tile];
+    };
 
-        auto phase1 = [&](TileId tile) {
-            // Tile spans (raster + shade fused per tile) are per-tile
-            // detail: numTiles events per frame, gated separately.
-            std::optional<ObsScope> tileSpan;
-            if (obsTileDetail())
-                tileSpan.emplace("gpu", "tile", "tile",
-                                 static_cast<i64>(tile));
-            TileTask &task = taskFor(tile);
-            // Direct mode makes the authoritative (counted) decision
-            // right here: phase1/merge run inline back to back, so
-            // the counted reads land in the same place in the access
-            // stream as the merge-side call would put them, and the
-            // phase-1 peek prediction would only duplicate the
-            // signature compare.
-            task.render = hooks
-                ? (direct ? hooks->shouldRenderTile(tile)
-                          : hooks->queryRenderTile(tile))
+    auto phase1 = [&](TileId tile) {
+        // Tile spans (raster + shade fused per tile) are per-tile
+        // detail: numTiles events per frame, gated separately.
+        std::optional<ObsScope> tileSpan;
+        if (obsTileDetail())
+            tileSpan.emplace("gpu", "tile", "tile",
+                             static_cast<i64>(tile));
+        TileTask &task = taskFor(tile);
+        // Direct mode makes the authoritative (counted) decision right
+        // here: the counted reads land where the merge-side call would
+        // put them, and a peek would only duplicate the compare.
+        task.render = hooks
+            ? (direct ? hooks->shouldRenderTile(tile)
+                      : hooks->queryRenderTile(tile))
+            : true;
+        if (!task.render && !groundTruth)
+            return;
+        // A skipped tile is shadow-rendered for ground truth only: no
+        // memory sink and no memo client, and merge never folds its
+        // stats, so it charges nothing.
+        MemTraceSink *sink = direct ? mem : &task.memEvents;
+        TileRenderer renderer(config, task.render ? sink : nullptr,
+                              textures);
+        if (task.render)
+            renderer.setMemoClient(memo);
+        task.renderStats =
+            renderer.renderTile(tile, result.binned, commands.draws,
+                                commands.clearColor, task.colors);
+        // Per-tile-disjoint Back Buffer regions, written only by this
+        // tile's own (strictly later) merge: safe.
+        task.equalColors = fb.tileEquals(tile, task.colors);
+        if (task.render && hooks)
+            task.preparedFlush = hooks->prepareFlushTile(tile, task.colors);
+    };
+
+    auto merge = [&](TileId tile) {
+        TileTask &task = taskFor(tile);
+        TileOutcome &out = result.tiles[tile];
+        // Authoritative decision, with its counted buffer reads and
+        // stats - then cross-checked against the phase-1 prediction
+        // the tile was rendered under. Direct mode already made the
+        // counted call in phase1.
+        const bool render = (hooks && !direct)
+            ? hooks->shouldRenderTile(tile)
+            : task.render;
+        REGPU_ASSERT(render == task.render,
+                     "queryRenderTile diverged from shouldRenderTile "
+                     "for tile ", tile, " - the hooks violate the "
+                     "tileWorkersSafe contract");
+        out.rendered = render;
+
+        if (render) {
+            // The MemSystem's cache state depends on the access
+            // sequence, which is why replay happens here and not on
+            // the worker. Direct mode already rendered into it.
+            if (!direct && mem)
+                task.memEvents.replay(*mem);
+            const TileRenderStats &ts = task.renderStats;
+            stats.inc("raster.fragmentsGenerated", ts.fragmentsGenerated);
+            stats.inc("raster.fragmentsEarlyZKilled",
+                      ts.fragmentsEarlyZKilled);
+            stats.inc("raster.fragmentsShaded", ts.fragmentsShaded);
+            stats.inc("raster.fragmentsMemoReused",
+                      ts.fragmentsMemoReused);
+            stats.inc("raster.shaderInstructions", ts.shaderInstructions);
+            stats.inc("raster.texelFetches", ts.texelFetches);
+            stats.inc("raster.blendOps", ts.blendOps);
+            stats.inc("raster.primitivesFetched", ts.primitivesFetched);
+            out.stats = ts;
+            out.equalColors = task.equalColors;
+
+            bool flush = hooks
+                ? hooks->shouldFlushTilePre(tile, task.colors,
+                                            task.preparedFlush)
                 : true;
-            if (task.render) {
-                // Private renderer: stats land in the task-local
-                // registry, memory accesses in the task-local
-                // recorder; shared state stays untouched until merge.
-                TileRenderer worker(
-                    config, direct ? stats : task.localStats,
-                    direct ? mem
-                           : static_cast<MemTraceSink *>(
-                                 &task.memEvents),
-                    textures);
-                task.renderStats = worker.renderTile(
-                    tile, result.binned, commands.draws,
-                    commands.clearColor, task.colors, true);
-                // Per-tile-disjoint Back Buffer regions, written only
-                // by this tile's own (strictly later) merge: safe.
-                task.equalColors = fb.tileEquals(tile, task.colors);
-                if (hooks)
-                    task.preparedFlush =
-                        hooks->prepareFlushTile(tile, task.colors);
-            } else if (groundTruth) {
-                // Shadow render for ground truth - no cost charged
-                // (chargeCost=false records no stats and no memory
-                // traffic, so the local registry/recorder stay empty).
-                TileRenderer worker(config, task.localStats, nullptr,
-                                    textures);
-                worker.renderTile(tile, result.binned, commands.draws,
-                                  commands.clearColor, task.colors,
-                                  false);
-                task.equalColors = fb.tileEquals(tile, task.colors);
+            out.flushed = flush;
+            if (flush) {
+                fb.writeTile(tile, task.colors);
+                if (mem)
+                    mem->colorFlush(fb.tileAddr(tile), fb.tileBytes(tile));
+                stats.inc("raster.tilesFlushed");
+            } else {
+                stats.inc("raster.tileFlushesEliminated");
             }
-        };
-
-        auto merge = [&](TileId tile) {
-            TileTask &task = taskFor(tile);
-            TileOutcome &out = result.tiles[tile];
-            // Authoritative decision, with its counted buffer reads
-            // and stats - then cross-checked against the phase-1
-            // prediction the tile was rendered under. Direct mode
-            // already made the counted call in phase1.
-            const bool render = (hooks && !direct)
-                ? hooks->shouldRenderTile(tile)
-                : task.render;
-            REGPU_ASSERT(render == task.render,
-                         "queryRenderTile diverged from "
-                         "shouldRenderTile for tile ", tile,
-                         " - the hooks violate the tileWorkersSafe "
-                         "contract");
-            out.rendered = render;
-
-            if (render) {
-                // Order-sensitive folds, in exact emission order: the
-                // MemSystem's cache state depends on the access
-                // sequence, which is why replay happens here and not
-                // on the worker. Direct mode already rendered into
-                // the shared sinks, so there is nothing to fold.
-                if (!direct) {
-                    if (mem)
-                        task.memEvents.replay(*mem);
-                    task.localStats.forEachCounter(
-                        [this](std::string_view name, u64 val) {
-                            stats.inc(name, val);
-                        });
-                }
-                out.stats = task.renderStats;
+            stats.inc("raster.tilesRendered");
+        } else {
+            // Rendering Elimination bypass: the Back Buffer already
+            // holds the (believed-identical) colors.
+            out.flushed = false;
+            stats.inc("raster.tilesEliminated");
+            if (groundTruth) {
+                out.stats = TileRenderStats{}; // skipped: zero cost
                 out.equalColors = task.equalColors;
-
-                bool flush = hooks
-                    ? hooks->shouldFlushTilePre(tile, task.colors,
-                                                task.preparedFlush)
-                    : true;
-                out.flushed = flush;
-                if (flush) {
-                    fb.writeTile(tile, task.colors);
-                    if (mem)
-                        mem->colorFlush(fb.tileAddr(tile),
-                                        fb.tileBytes(tile));
-                    stats.inc("raster.tilesFlushed");
-                } else {
-                    stats.inc("raster.tileFlushesEliminated");
-                }
-                stats.inc("raster.tilesRendered");
-            } else {
-                // Rendering Elimination bypass: the Back Buffer
-                // already holds the (believed-identical) colors.
-                out.flushed = false;
-                stats.inc("raster.tilesEliminated");
-                if (groundTruth) {
-                    out.stats = TileRenderStats{}; // skipped: zero cost
-                    out.equalColors = task.equalColors;
-                    if (!out.equalColors)
-                        stats.inc("re.falsePositives");
-                }
-            }
-        };
-
-        runTilesOrdered(numTiles, tileJobs, phase1, merge);
-    } else {
-        // Legacy serial loop for techniques holding mutable per-tile
-        // state across renderTile (Fragment Memoization) or custom
-        // hooks that never opted into the split contract.
-        if (tileJobs > 1)
-            warnOnce("--tile-jobs ", tileJobs, " requested but the "
-                     "attached technique is not tile-parallel-safe; "
-                     "rendering tiles serially");
-        std::vector<Color> tileColors;
-        for (TileId tile = 0; tile < numTiles; tile++) {
-            std::optional<ObsScope> tileSpan;
-            if (obsTileDetail())
-                tileSpan.emplace("gpu", "tile", "tile",
-                                 static_cast<i64>(tile));
-            TileOutcome &out = result.tiles[tile];
-            const bool render =
-                hooks ? hooks->shouldRenderTile(tile) : true;
-            out.rendered = render;
-
-            if (render) {
-                out.stats = renderer.renderTile(tile, result.binned,
-                                                commands.draws,
-                                                commands.clearColor,
-                                                tileColors, true);
-                out.equalColors = fb.tileEquals(tile, tileColors);
-
-                bool flush = hooks
-                    ? hooks->shouldFlushTile(tile, tileColors) : true;
-                out.flushed = flush;
-                if (flush) {
-                    fb.writeTile(tile, tileColors);
-                    if (mem)
-                        mem->colorFlush(fb.tileAddr(tile),
-                                        fb.tileBytes(tile));
-                    stats.inc("raster.tilesFlushed");
-                } else {
-                    stats.inc("raster.tileFlushesEliminated");
-                }
-                stats.inc("raster.tilesRendered");
-            } else {
-                out.flushed = false;
-                stats.inc("raster.tilesEliminated");
-                if (groundTruth) {
-                    out.stats = TileRenderStats{}; // skipped: zero cost
-                    std::vector<Color> shadow;
-                    renderer.renderTile(tile, result.binned,
-                                        commands.draws,
-                                        commands.clearColor, shadow,
-                                        false);
-                    out.equalColors = fb.tileEquals(tile, shadow);
-                    if (!out.equalColors)
-                        stats.inc("re.falsePositives");
-                }
+                if (!out.equalColors)
+                    stats.inc("re.falsePositives");
             }
         }
-    }
+    };
+
+    runTilesOrdered(numTiles, direct ? 1u : tileJobs, phase1, merge);
     rasterSpan.reset();
 
     if (hooks)

@@ -72,16 +72,18 @@ class PipelineHooks
 
     // ---- Tile worker pool contract (docs/ARCHITECTURE.md) --------------
     //
-    // When tileWorkersSafe() returns true, the pipeline splits the
-    // raster loop into a parallel phase-1 (per tile, on pool workers)
-    // and a serial in-tile-order merge, and calls the three hooks
-    // below instead of weaving everything through shouldRenderTile /
-    // shouldFlushTile alone. The split is used for EVERY --tile-jobs
-    // value including 1, so a technique's output cannot depend on the
-    // job count. Techniques that keep mutable per-tile state across
-    // renderTile (Fragment Memoization's LUT) or that cannot separate
-    // a pure query from their counted decision stay on the default
-    // (false) and run the legacy serial loop untouched.
+    // The raster loop is always split into a phase-1 (per tile) and
+    // an in-tile-order merge. When tileWorkersSafe() returns true and
+    // --tile-jobs > 1, phase-1 runs on pool workers and the pipeline
+    // calls queryRenderTile there. Every other case runs direct mode:
+    // phase1 and merge inline per tile, with the counted
+    // shouldRenderTile made in phase1. Techniques that keep mutable
+    // per-tile state across renderTile (Fragment Memoization's LUT)
+    // or that cannot separate a pure query from their counted
+    // decision stay on the default (false) and are forced into direct
+    // mode. Either way a tile sees shouldRenderTile, then
+    // prepareFlushTile, then shouldFlushTilePre, so the defaults below
+    // reduce to shouldRenderTile / shouldFlushTile.
 
     /** Opt into the phase-1/merge split. Implementations returning
      *  true guarantee: queryRenderTile is pure and thread-safe,
@@ -165,8 +167,8 @@ class GraphicsPipeline
      * Intra-frame tile worker count (default 1 = serial). Purely an
      * execution knob: output is bit-identical for every value, which
      * is why it lives here and not in GpuConfig. Takes effect only
-     * for hooks that declare tileWorkersSafe() (baseline included);
-     * others keep the legacy serial loop.
+     * for hooks that declare tileWorkersSafe() and carry no
+     * memoClient() (baseline included); others run in direct mode.
      */
     void setTileJobs(unsigned jobs);
     unsigned tileJobCount() const { return tileJobs; }
@@ -193,7 +195,6 @@ class GraphicsPipeline
 
     GeometryPipeline geometry;
     PolygonListBuilder plb;
-    TileRenderer renderer;
     FrameBuffer fb;
     u64 frameCounter = 0;
     unsigned tileJobs = 1;

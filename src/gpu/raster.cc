@@ -76,8 +76,7 @@ TileRenderer::fragmentSignature(const DrawCall &draw, Vec4 color,
 TileRenderStats
 TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                          const std::vector<DrawCall> &draws,
-                         Color clearColor, std::vector<Color> &outColors,
-                         bool chargeCost)
+                         Color clearColor, std::vector<Color> &outColors)
 {
     TileRenderStats ts;
     const u32 tw = config.tileWidth;
@@ -107,7 +106,7 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         // the Parameter Buffer through the Tile Cache.
         ts.primitivesFetched++;
         ts.parameterBytesRead += ref.pbBytes;
-        if (chargeCost && mem)
+        if (mem)
             mem->parameterRead(ref.pbAddr, ref.pbBytes);
 
         // Rasterizer setup: edge functions from the vertices.
@@ -206,7 +205,7 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                                           Sampler::Filter::Bilinear,
                                           &touchedTexels)
                         : Color(255, 0, 255);
-                    if (chargeCost && mem) {
+                    if (mem) {
                         // Round-robin texel streams over the 4 texture
                         // caches by fragment-quad position.
                         u32 cacheIdx = ((px >> 1) + (py >> 1))
@@ -250,16 +249,6 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         }
     }
 
-    if (chargeCost) {
-        stats.inc("raster.fragmentsGenerated", ts.fragmentsGenerated);
-        stats.inc("raster.fragmentsEarlyZKilled", ts.fragmentsEarlyZKilled);
-        stats.inc("raster.fragmentsShaded", ts.fragmentsShaded);
-        stats.inc("raster.fragmentsMemoReused", ts.fragmentsMemoReused);
-        stats.inc("raster.shaderInstructions", ts.shaderInstructions);
-        stats.inc("raster.texelFetches", ts.texelFetches);
-        stats.inc("raster.blendOps", ts.blendOps);
-        stats.inc("raster.primitivesFetched", ts.primitivesFetched);
-    }
     return ts;
 }
 

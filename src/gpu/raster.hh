@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "gpu/binning.hh"
 #include "gpu/color.hh"
 #include "gpu/texture.hh"
@@ -69,15 +68,17 @@ struct TileRenderStats
 
 /**
  * Renders one tile: the functional model of everything between the
- * Tile Scheduler and the Tile Flush.
+ * Tile Scheduler and the Tile Flush. It records no stats: the caller
+ * charges the returned TileRenderStats.
  */
 class TileRenderer
 {
   public:
-    TileRenderer(const GpuConfig &_config, StatRegistry &_stats,
-                 MemTraceSink *_mem,
+    /** @param _mem receives the tile's memory traffic; nullptr for a
+     *  render that charges nothing (a ground-truth shadow render). */
+    TileRenderer(const GpuConfig &_config, MemTraceSink *_mem,
                  const std::vector<Texture> &_textures)
-        : config(_config), stats(_stats), mem(_mem), textures(_textures)
+        : config(_config), mem(_mem), textures(_textures)
     {}
 
     /** Optional memoization hook (Fragment Memoization technique). */
@@ -91,16 +92,12 @@ class TileRenderer
      * @param draws      the frame's drawcalls (pipeline state lookup)
      * @param clearColor tile background
      * @param outColors  tileWidth*tileHeight colors, row-major
-     * @param chargeCost when false the render is a "shadow" pass used
-     *                   only for ground-truth statistics: no memory
-     *                   traffic or stats are recorded
      * @return per-tile statistics
      */
     TileRenderStats renderTile(TileId tile, const BinnedFrame &frame,
                                const std::vector<DrawCall> &draws,
                                Color clearColor,
-                               std::vector<Color> &outColors,
-                               bool chargeCost = true);
+                               std::vector<Color> &outColors);
 
     /**
      * Compute the memoization signature of a fragment: hash of shader
@@ -112,7 +109,6 @@ class TileRenderer
 
   private:
     const GpuConfig &config;
-    StatRegistry &stats;
     MemTraceSink *mem;
     const std::vector<Texture> &textures;
     FragmentMemoClient *memo = nullptr;

@@ -256,9 +256,12 @@ TEST(TilePoolStress, BitIdenticalAcrossTileJobCounts)
     // serial pipeline — per workload, per technique, with the obs
     // sink enabled (span recording must not perturb results either).
     ObsSink::instance().enable(/*eventsPerThread=*/1u << 12);
+    // Fragment Memoization is not tile-parallel-safe and is forced
+    // into direct mode; it must still match across requested counts.
     const Technique techs[] = {Technique::Baseline,
                                Technique::RenderingElimination,
-                               Technique::TransactionElimination};
+                               Technique::TransactionElimination,
+                               Technique::FragmentMemoization};
     for (Technique tech : techs) {
         SCOPED_TRACE(techniqueName(tech));
         std::vector<SimResult> byJobs;

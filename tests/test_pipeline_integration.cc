@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <thread>
+
 #include "crc/crc32.hh"
 #include "gpu/pipeline.hh"
 #include "scene/mesh_gen.hh"
@@ -47,6 +51,27 @@ struct PipeFixture : ::testing::Test
         scene->addObject(std::move(o));
     }
 
+    /** A textured quad sliding 8 px per frame, so most tiles it
+     *  touches change colors every frame. */
+    void
+    addMovingQuad()
+    {
+        u32 tex = scene->addTexture(
+            Texture(0, 64, 64, TexturePattern::Checker, 5));
+        SceneObject mover;
+        mover.name = "mover";
+        mover.mesh = makeQuad(16, 16, 0.5f);
+        mover.shader = ShaderKind::Textured;
+        mover.textureId = static_cast<i32>(tex);
+        mover.depthTest = false;
+        mover.animate = [](u64 frame) {
+            Pose p;
+            p.position = {20.0f + 8.0f * frame, 20, 0.2f};
+            return p;
+        };
+        scene->addObject(std::move(mover));
+    }
+
     /** CRC of the whole front buffer (golden-image hash). */
     u32
     frontHash(GraphicsPipeline &pipe)
@@ -63,6 +88,14 @@ struct PipeFixture : ::testing::Test
         }
         return crc32Tabular(bytes);
     }
+};
+
+/** Renders every tile of frame 0, then skips every tile. */
+struct SkipEverything : PipelineHooks
+{
+    u64 frame = 0;
+    void frameBegin(u64 f, bool) override { frame = f; }
+    bool shouldRenderTile(TileId) override { return frame == 0; }
 };
 
 } // namespace
@@ -193,27 +226,8 @@ TEST_F(PipeFixture, GroundTruthShadowRenderDetectsWrongSkips)
 {
     // Skip a tile that actually changed: equalColors must be false
     // and the false-positive counter must fire.
-    u32 tex = scene->addTexture(
-        Texture(0, 64, 64, TexturePattern::Checker, 5));
-    SceneObject mover;
-    mover.name = "mover";
-    mover.mesh = makeQuad(16, 16, 0.5f);
-    mover.shader = ShaderKind::Textured;
-    mover.textureId = static_cast<i32>(tex);
-    mover.depthTest = false;
-    mover.animate = [](u64 frame) {
-        Pose p;
-        p.position = {20.0f + 8.0f * frame, 20, 0.2f};
-        return p;
-    };
-    scene->addObject(std::move(mover));
-
-    struct SkipEverything : PipelineHooks
-    {
-        u64 frame = 0;
-        void frameBegin(u64 f, bool) override { frame = f; }
-        bool shouldRenderTile(TileId) override { return frame == 0; }
-    } hooks;
+    addMovingQuad();
+    SkipEverything hooks;
 
     GraphicsPipeline pipe(config, stats, nullptr, scene->textures());
     pipe.setHooks(&hooks);
@@ -224,4 +238,98 @@ TEST_F(PipeFixture, GroundTruthShadowRenderDetectsWrongSkips)
         anyWrong |= !t.rendered && !t.equalColors;
     EXPECT_TRUE(anyWrong);
     EXPECT_GT(stats.counter("re.falsePositives"), 0u);
+}
+
+TEST_F(PipeFixture, ShadowRendersChargeNothing)
+{
+    // Ground truth for skipped tiles comes from shadow renders, which
+    // must cost nothing: a pipeline that shadow-renders every skipped
+    // tile and one that does not agree on every stat except the false
+    // positives the shadow renders detect, and on all memory traffic.
+    addMovingQuad();
+    StatRegistry truthStats, plainStats;
+    MemSystem truthMem(config), plainMem(config);
+    SkipEverything truthHooks, plainHooks;
+    GraphicsPipeline truth(config, truthStats, &truthMem,
+                           scene->textures());
+    GraphicsPipeline plain(config, plainStats, &plainMem,
+                           scene->textures());
+    truth.setHooks(&truthHooks);
+    plain.setHooks(&plainHooks);
+    for (u64 f = 0; f < 3; f++) {
+        truth.renderFrame(scene->emitFrame(f), /*groundTruth=*/true);
+        plain.renderFrame(scene->emitFrame(f), /*groundTruth=*/false);
+    }
+
+    // The shadow renders really ran (and found the moved tiles).
+    EXPECT_GT(truthStats.counter("re.falsePositives"), 0u);
+    EXPECT_EQ(plainStats.counter("re.falsePositives"), 0u);
+
+    std::set<std::string> names;
+    for (const StatRegistry *s : {&truthStats, &plainStats})
+        s->forEachCounter([&](std::string_view name, u64) {
+            names.emplace(name);
+        });
+    for (const std::string &name : names) {
+        if (name == "re.falsePositives")
+            continue;
+        EXPECT_EQ(truthStats.counter(name), plainStats.counter(name))
+            << name;
+    }
+    EXPECT_EQ(truthStats.allScalars(), plainStats.allScalars());
+
+    for (u8 c = 0; c < 4; c++) {
+        const auto cls = static_cast<TrafficClass>(c);
+        SCOPED_TRACE(static_cast<int>(c));
+        const DramTraffic &a = truthMem.dram().traffic();
+        const DramTraffic &b = plainMem.dram().traffic();
+        EXPECT_EQ(a.reads(cls), b.reads(cls));
+        EXPECT_EQ(a.writes(cls), b.writes(cls));
+        EXPECT_EQ(a.writebacks(cls), b.writebacks(cls));
+    }
+    EXPECT_EQ(truthMem.dram().accesses(), plainMem.dram().accesses());
+    EXPECT_EQ(truthMem.totalCacheAccesses(),
+              plainMem.totalCacheAccesses());
+}
+
+TEST_F(PipeFixture, NonOptedHooksRunSeriallyUnderTileJobs)
+{
+    // Hooks that never declare tileWorkersSafe() are forced into
+    // direct mode: with four tile workers requested they still get
+    // one counted shouldRenderTile per tile, all on the calling
+    // thread, never the phase-1 queryRenderTile peek, and the image
+    // matches the one-worker run.
+    addCheckerQuad();
+
+    struct CountingHooks : PipelineHooks
+    {
+        std::thread::id owner = std::this_thread::get_id();
+        u32 renderCalls = 0, queryCalls = 0, foreignCalls = 0;
+        bool
+        shouldRenderTile(TileId) override
+        {
+            renderCalls++;
+            foreignCalls += std::this_thread::get_id() != owner;
+            return true;
+        }
+        bool queryRenderTile(TileId) override
+        { queryCalls++; return true; }
+    };
+
+    u32 serialHash = 0;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        CountingHooks hooks;
+        GraphicsPipeline pipe(config, stats, nullptr, scene->textures());
+        pipe.setHooks(&hooks);
+        pipe.setTileJobs(jobs);
+        pipe.renderFrame(scene->emitFrame(0));
+        EXPECT_EQ(hooks.renderCalls, config.numTiles());
+        EXPECT_EQ(hooks.queryCalls, 0u);
+        EXPECT_EQ(hooks.foreignCalls, 0u);
+        if (jobs == 1)
+            serialHash = frontHash(pipe);
+        else
+            EXPECT_EQ(frontHash(pipe), serialHash);
+    }
 }
