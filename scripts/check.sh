@@ -480,19 +480,20 @@ if [[ "${1:-}" != "--unit" ]]; then
     # with observability both off and on (the obs run also exercises
     # the per-worker gpu.tileWorker spans). memo is not
     # tile-parallel-safe, so it is forced into direct mode at every
-    # count and must match too.
+    # count and must match too. Six frames let RE's ground-truth shadow
+    # cache hit (from frame 2 on), on pool workers at 4 and 8.
     tile1_csv=$(mktemp)
     tile4_csv=$(mktemp)
     tile8_csv=$(mktemp)
     tile_obs_dir=$(mktemp -d)
     CLEANUP_PATHS+=("$tile1_csv" "$tile4_csv" "$tile8_csv" "$tile_obs_dir")
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 6 \
         --width 256 --height 160 --quiet --csv "$tile1_csv" \
         --tile-jobs 1
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 6 \
         --width 256 --height 160 --quiet --csv "$tile4_csv" \
         --tile-jobs 4 2> /dev/null
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 6 \
         --width 256 --height 160 --quiet --csv "$tile8_csv" \
         --tile-jobs 8 --obs-dir "$tile_obs_dir" 2> /dev/null
     cmp "$tile1_csv" "$tile4_csv"

@@ -145,6 +145,11 @@ struct FrameResult
     std::vector<TileOutcome> tiles;
     u64 verticesShaded = 0;
     u64 trianglesAssembled = 0;
+    /** Ground-truth shadow renders actually run, and skipped tiles
+     *  whose ground truth came from the shadow cache instead. Host
+     *  work only: no modelled stat depends on the split. */
+    u32 shadowRenders = 0;
+    u32 shadowHits = 0;
     bool techniqueActive = true;  //!< false when RE was disabled
 };
 
@@ -178,7 +183,12 @@ class GraphicsPipeline
      * @param commands  the frame's drawcalls
      * @param groundTruth when true, skipped tiles are shadow-rendered
      *        (no cost charged) so TileOutcome::equalColors is exact
-     *        for every tile - needed by Fig. 15a and correctness tests
+     *        for every tile - needed by Fig. 15a and correctness tests.
+     *        A skipped tile whose exact inputs equal those of its
+     *        last shadow render reuses that render's colors (key
+     *        layout: buildShadowKey in pipeline.cc). Any new input
+     *        TileRenderer::renderTile reads must join the key, or the
+     *        reuse stops being exact.
      */
     FrameResult renderFrame(const FrameCommands &commands,
                             bool groundTruth = true);
@@ -187,6 +197,14 @@ class GraphicsPipeline
     const GpuConfig &gpuConfig() const { return config; }
 
   private:
+    /** A tile's last shadow render: the exact bytes of its inputs
+     *  and the colors they produced. */
+    struct ShadowEntry
+    {
+        std::vector<u8> key;
+        std::vector<Color> colors;
+    };
+
     const GpuConfig &config;
     StatRegistry &stats;
     MemTraceSink *mem;
@@ -196,6 +214,9 @@ class GraphicsPipeline
     GeometryPipeline geometry;
     PolygonListBuilder plb;
     FrameBuffer fb;
+    /** Indexed by TileId; a slot is touched only by its own tile's
+     *  phase 1, so tile workers never share one. */
+    std::vector<ShadowEntry> shadowCache;
     u64 frameCounter = 0;
     unsigned tileJobs = 1;
 };

@@ -197,6 +197,10 @@ Simulator::run()
                    static_cast<double>(frameFlushesElided));
         obsCounter("gpu", "fragmentsShadedPerFrame",
                    static_cast<double>(frameFragmentsShaded));
+        obsCounter("gpu", "shadowRendersPerFrame",
+                   static_cast<double>(fr.shadowRenders));
+        obsCounter("gpu", "shadowHitsPerFrame",
+                   static_cast<double>(fr.shadowHits));
         obsCounter("mem", "dramBytesPerFrame",
                    static_cast<double>(memSum.dramDelta.total()));
 

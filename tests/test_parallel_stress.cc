@@ -277,6 +277,49 @@ TEST(TilePoolStress, BitIdenticalAcrossTileJobCounts)
     ObsSink::instance().disable();
 }
 
+TEST(TilePoolStress, ShadowCacheHitsBitIdenticalAcrossTileJobCounts)
+{
+    // RE with ground truth over six frames of a static scene: from
+    // frame 2 on, most skipped tiles take their ground truth from the
+    // shadow cache, and at --tile-jobs 4 those hits run on pool
+    // workers. Per-frame outcomes, the displayed image and the whole
+    // run must match the serial pipeline.
+    constexpr u64 frames = 6;
+    std::vector<std::vector<FrameResult>> byJobs;
+    std::vector<std::vector<Color>> images;
+    std::vector<SimResult> runs;
+    for (unsigned tileJobs : {1u, 4u}) {
+        SimJob job = tinyJob("ccs", Technique::RenderingElimination, 11,
+                             frames);
+        job.options.tileJobs = tileJobs;
+        auto scene = makeBenchmark(job.workload, job.config, job.sceneSeed);
+        Simulator sim(*scene, job.config, job.options);
+        byJobs.emplace_back();
+        for (u64 f = 0; f < frames; f++)
+            byJobs.back().push_back(sim.stepFrame(f));
+        images.push_back(sim.pipeline().frameBuffer().frontSurface());
+        runs.push_back(std::move(ParallelRunner(1).run({job}).front()));
+    }
+
+    u32 hits = 0;
+    for (u64 f = 0; f < frames; f++) {
+        SCOPED_TRACE(f);
+        const FrameResult &a = byJobs[0][f];
+        const FrameResult &b = byJobs[1][f];
+        EXPECT_EQ(a.shadowHits, b.shadowHits);
+        EXPECT_EQ(a.shadowRenders, b.shadowRenders);
+        ASSERT_EQ(a.tiles.size(), b.tiles.size());
+        for (std::size_t t = 0; t < a.tiles.size(); t++) {
+            EXPECT_EQ(a.tiles[t].rendered, b.tiles[t].rendered) << t;
+            EXPECT_EQ(a.tiles[t].equalColors, b.tiles[t].equalColors) << t;
+        }
+        hits += a.shadowHits;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(images[0], images[1]);
+    expectIdentical(runs[0], runs[1]);
+}
+
 TEST(TilePoolStress, OuterSweepWorkersTimesInnerTileWorkers)
 {
     // Both pools at once: the sweep-level ParallelRunner schedules

@@ -98,6 +98,83 @@ struct SkipEverything : PipelineHooks
     bool shouldRenderTile(TileId) override { return frame == 0; }
 };
 
+/** SkipEverything, opted into the tile pool. */
+struct SkipEverythingOnWorkers : SkipEverything
+{
+    bool tileWorkersSafe() const override { return true; }
+    bool queryRenderTile(TileId) override { return frame == 0; }
+};
+
+/**
+ * Frame @p f of a hand-built 96x64 scene whose tiles vary one
+ * shadow-key field at a time. Changes land on even frames: with
+ * every tile skipped after frame 0, the Back Buffer then holds frame
+ * 0's image, so colors reused from a stale key would read as equal
+ * where a real render differs.
+ *  - a TexLit quad (4 tiles) and the empty tiles never change;
+ *  - frame 2: one quad's tint;
+ *  - frame 4: the clear color (every tile);
+ *  - frame 6: one vertex's texcoord, one vertex's normal (so its
+ *    diffuse), and the order of two overlapping and of two disjoint
+ *    quads.
+ */
+FrameCommands
+shadowKeyScene(const GpuConfig &config, u64 f)
+{
+    const float halfW = config.screenWidth * 0.5f;
+    const float halfH = config.screenHeight * 0.5f;
+    auto rect = [&](float x0, float y0, float x1, float y1,
+                    ShaderKind shader) {
+        auto vert = [&](float px, float py, float u, float v) {
+            Vertex out;
+            out.position = {px / halfW - 1, py / halfH - 1, 0.5f};
+            out.texcoord = {u, v};
+            return out;
+        };
+        DrawCall draw;
+        draw.state.shader = shader;
+        draw.state.textureId = shaderSamplesTexture(shader) ? 0 : -1;
+        draw.state.depthTest = false;
+        draw.layout.hasTexcoord = true;
+        draw.layout.hasNormal = true;
+        const Vertex a = vert(x0, y0, 0, 0), b = vert(x1, y0, 1, 0);
+        const Vertex c = vert(x1, y1, 1, 1), d = vert(x0, y1, 0, 1);
+        draw.vertices = {a, b, c, a, c, d};
+        return draw;
+    };
+    auto flat = [&](float x0, float y0, float x1, float y1, Vec4 tint) {
+        DrawCall draw = rect(x0, y0, x1, y1, ShaderKind::Flat);
+        draw.state.uniforms.tint = tint;
+        return draw;
+    };
+
+    FrameCommands cmds;
+    cmds.clearColor = f == 4 ? Color(40, 0, 0) : Color(12, 12, 24);
+    cmds.draws.push_back(rect(2, 2, 30, 30, ShaderKind::TexLit));
+    cmds.draws.push_back(rect(34, 2, 46, 14, ShaderKind::Textured));
+    if (f == 2)
+        cmds.draws.back().state.uniforms.tint = {0.5f, 1, 1, 1};
+    cmds.draws.push_back(rect(50, 2, 62, 14, ShaderKind::Textured));
+    if (f == 6)
+        cmds.draws.back().vertices[2].texcoord = {0.5f, 1};
+    cmds.draws.push_back(rect(66, 2, 78, 14, ShaderKind::TexLit));
+    if (f == 6)
+        cmds.draws.back().vertices[0].normal = {0.6f, 0, 0.8f};
+    DrawCall pairs[2][2] = {
+        {flat(34, 34, 46, 46, {1, 0, 0, 1}),
+         flat(38, 38, 44, 44, {0, 1, 0, 1})},
+        {flat(66, 34, 70, 46, {0, 0, 1, 1}),
+         flat(72, 34, 78, 46, {1, 1, 0, 1})},
+    };
+    for (auto &pair : pairs) {
+        if (f == 6)
+            std::swap(pair[0], pair[1]);
+        cmds.draws.push_back(pair[0]);
+        cmds.draws.push_back(pair[1]);
+    }
+    return cmds;
+}
+
 } // namespace
 
 TEST_F(PipeFixture, RenderingIsReproducible)
@@ -331,5 +408,58 @@ TEST_F(PipeFixture, NonOptedHooksRunSeriallyUnderTileJobs)
             serialHash = frontHash(pipe);
         else
             EXPECT_EQ(frontHash(pipe), serialHash);
+    }
+}
+
+TEST_F(PipeFixture, ShadowCacheMatchesFreshRenderOracle)
+{
+    // Differential test of the ground-truth shadow cache: every
+    // skipped tile's equalColors, and the frame's false-positive
+    // count, must equal those of an oracle that renders each tile
+    // from scratch and tracks its own copy of the Back Buffer.
+    const std::vector<Texture> textures{
+        Texture(0, 64, 64, TexturePattern::Checker, 5)};
+    constexpr u64 frames = 8;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        StatRegistry pipeStats;
+        SkipEverythingOnWorkers hooks;
+        GraphicsPipeline pipe(config, pipeStats, nullptr, textures);
+        pipe.setHooks(&hooks);
+        pipe.setTileJobs(jobs);
+        FrameBuffer oracleFb(config);
+        u32 hits = 0, renders = 0;
+        for (u64 f = 0; f < frames; f++) {
+            SCOPED_TRACE(f);
+            const FrameCommands cmds = shadowKeyScene(config, f);
+            const u64 fpBefore = pipeStats.counter("re.falsePositives");
+            const FrameResult r = pipe.renderFrame(cmds, true);
+
+            u64 fpOracle = 0;
+            std::vector<Color> colors;
+            for (TileId t = 0; t < config.numTiles(); t++) {
+                TileRenderer(config, nullptr, textures)
+                    .renderTile(t, r.binned, cmds.draws, cmds.clearColor,
+                                colors);
+                const bool equal = oracleFb.tileEquals(t, colors);
+                const TileOutcome &out = r.tiles[t];
+                EXPECT_EQ(out.equalColors, equal) << "tile " << t;
+                if (out.rendered)
+                    oracleFb.writeTile(t, colors);
+                else
+                    fpOracle += !equal;
+            }
+            oracleFb.swap();
+            EXPECT_EQ(pipeStats.counter("re.falsePositives") - fpBefore,
+                      fpOracle);
+            EXPECT_EQ(r.shadowHits + r.shadowRenders,
+                      f == 0 ? 0u : config.numTiles());
+            hits += r.shadowHits;
+            renders += r.shadowRenders;
+        }
+        // Both halves ran: frame 1 and the clear-color frames miss
+        // everywhere, the unchanged tiles of the other frames hit.
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(renders, 2 * config.numTiles());
     }
 }
