@@ -214,8 +214,8 @@ BM_Crc32BackendBulk(benchmark::State &state)
 
 // The dispatched path end-to-end: Crc32Stream::update() as the TE
 // tile-signature loop calls it, which hands chunks of >= 64 bytes to
-// the active backend (REGPU_CRC_BACKEND=portable pins the baseline
-// for comparison).
+// the active backend (BM_Crc32BackendBulk/0/* is the portable
+// baseline to compare it with).
 static void
 BM_Crc32StreamBulkDispatch(benchmark::State &state)
 {
@@ -253,8 +253,7 @@ main(int argc, char **argv)
 {
     // Registered here rather than statically: CPU feature probes are
     // only reliable once main() runs.
-    for (CrcBackend backend : {CrcBackend::Portable, CrcBackend::Clmul,
-                               CrcBackend::ArmCrc}) {
+    for (CrcBackend backend : {CrcBackend::Portable, CrcBackend::Clmul}) {
         if (!crcBackendAvailable(backend))
             continue;
         for (i64 len : {64, 1024, 65536})

@@ -37,7 +37,7 @@
  * --timing-json writes host-side wall-clock timing of the sweep as a
  * machine-readable benchmark document (sim/bench_json.hh):
  * sweep.wallSeconds always, plus one cell.<alias>.<tech>.wallSeconds
- * per cell when the sweep streams on a single worker (per-cell wall
+ * per cell when the sweep runs on a single worker (per-cell wall
  * times of concurrent cells would measure scheduling, not work).
  * scripts/bench.py aggregates these into BENCH_e2e.json.
  * --assert-conservation exits fatally if any run reports a non-zero
@@ -51,8 +51,9 @@
  * simulator state: stdout/CSV stay bit-identical with or without it,
  * for any --jobs. --obs-tiles additionally records per-tile spans
  * (numTiles events per frame — large).
+ * Run summaries stream as cells finish, in job order, for any --jobs.
  * --progress renders live sweep progress (cells done/total, EWMA cell
- * time, ETA) on stderr; stdout is untouched.
+ * time, ETA) on stderr, also in job order; stdout is untouched.
  */
 
 #include <chrono>
@@ -244,7 +245,40 @@ main(int argc, char **argv)
         }
     }
 
-    auto reportRun = [&](SimResult &r, const SimJob &job) {
+    ParallelRunner runner(opts.jobs);
+    // Per-cell wall times of concurrent cells would measure
+    // scheduling, not work: record them only on a single worker.
+    const bool cellTiming =
+        !opts.timingJsonPath.empty() && runner.workerCount() <= 1;
+
+    BenchJsonWriter timing;
+    const auto sweepStart = std::chrono::steady_clock::now();
+
+    // Every cell reports here, on this thread and in job order, as
+    // soon as it and every cell before it finished: summaries stream
+    // for any --jobs, and the output does not depend on it. Live
+    // progress renders on stderr only: stdout stays byte-identical
+    // with or without --progress.
+    std::vector<SimResult> workloadResults;
+    auto reportCell = [&](const ProgressUpdate &u) {
+        const SimJob &job = jobs[u.jobIndex];
+        const SimResult &r = *u.result;
+        if (cellTiming)
+            timing.add("cell." + job.workload + "."
+                           + techniqueName(job.config.technique)
+                           + ".wallSeconds",
+                       "s", /*higherIsBetter=*/false, u.cellSeconds);
+        if (opts.progress) {
+            std::fprintf(
+                stderr,
+                "\r[%zu/%zu] %s.%s %.2fs | avg %.2fs | eta %.0fs   ",
+                u.done, u.total, job.workload.c_str(),
+                techniqueName(job.config.technique), u.cellSeconds,
+                u.ewmaCellSeconds, u.etaSeconds);
+            if (u.done == u.total)
+                std::fputc('\n', stderr);
+            std::fflush(stderr);
+        }
         if (!opts.quiet) {
             printRunSummary(std::cout, r, job.config);
             std::cout << "\n";
@@ -255,83 +289,24 @@ main(int argc, char **argv)
         }
         if (json.is_open())
             writeJsonRun(json, r, job.config, job.sceneSeed);
-    };
-    auto reportComparison = [&](const std::vector<SimResult> &results) {
-        if (!opts.quiet && results.size() > 1) {
-            printComparison(std::cout, results);
+        // The last technique of a workload closes its comparison.
+        if (opts.quiet || opts.techniques.size() < 2)
+            return;
+        workloadResults.push_back(r);
+        if (workloadResults.size() == opts.techniques.size()) {
+            printComparison(std::cout, workloadResults);
             std::cout << "\n";
+            workloadResults.clear();
         }
     };
-
-    ParallelRunner runner(opts.jobs);
-    const bool streaming = runner.workerCount() <= 1;
-
-    BenchJsonWriter timing;
-    auto secondsSince =
-        [](std::chrono::steady_clock::time_point t0) {
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                .count();
-        };
-    const auto sweepStart = std::chrono::steady_clock::now();
-
-    // Live progress renders on stderr only: stdout stays byte-identical
-    // with or without --progress, for any --jobs.
-    auto renderProgress = [&](const ProgressUpdate &u) {
-        std::fprintf(
-            stderr, "\r[%zu/%zu] %s.%s %.2fs | avg %.2fs | eta %.0fs   ",
-            u.done, u.total, jobs[u.jobIndex].workload.c_str(),
-            techniqueName(jobs[u.jobIndex].config.technique),
-            u.cellSeconds, u.ewmaCellSeconds, u.etaSeconds);
-        if (u.done == u.total)
-            std::fputc('\n', stderr);
-        std::fflush(stderr);
-    };
-
-    std::vector<SimResult> allResults;
-    if (!streaming)
-        allResults = runner.run(jobs, opts.progress
-                                          ? ProgressFn(renderProgress)
-                                          : ProgressFn{});
-    ProgressTracker streamTracker(jobs.size(), /*workers=*/1);
-
-    std::vector<SimResult> sweepResults;
-    sweepResults.reserve(jobs.size());
-    std::size_t idx = 0;
-    for (std::size_t w = 0; w < opts.workloads.size(); w++) {
-        std::vector<SimResult> results;
-        for (std::size_t t = 0; t < opts.techniques.size(); t++) {
-            // With a single worker, run cells one at a time so each
-            // summary streams as soon as its run finishes.
-            SimResult r;
-            if (streaming) {
-                const auto cellStart = std::chrono::steady_clock::now();
-                r = std::move(runner.run({jobs[idx]}).front());
-                const double cellSecs = secondsSince(cellStart);
-                if (!opts.timingJsonPath.empty())
-                    timing.add("cell." + jobs[idx].workload + "."
-                                   + techniqueName(
-                                         jobs[idx].config.technique)
-                                   + ".wallSeconds",
-                               "s", /*higherIsBetter=*/false,
-                               cellSecs);
-                if (opts.progress)
-                    renderProgress(streamTracker.cellDone(idx, cellSecs));
-            } else {
-                r = std::move(allResults[idx]);
-            }
-            reportRun(r, jobs[idx]);
-            results.push_back(std::move(r));
-            idx++;
-        }
-        reportComparison(results);
-        for (SimResult &r : results)
-            sweepResults.push_back(std::move(r));
-    }
+    const std::vector<SimResult> sweepResults =
+        runner.run(jobs, reportCell);
 
     if (!opts.timingJsonPath.empty()) {
         timing.add("sweep.wallSeconds", "s", /*higherIsBetter=*/false,
-                   secondsSince(sweepStart));
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - sweepStart)
+                       .count());
         timing.writeFile(opts.timingJsonPath);
         std::cout << "wrote " << opts.timingJsonPath << "\n";
     }

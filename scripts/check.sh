@@ -5,12 +5,13 @@
 # Configures, builds (-Wall -Wextra -Wshadow -Wnon-virtual-dtor,
 # warnings are the build's problem to stay clean of), runs every
 # registered ctest suite, and finishes with three smokes: a suite_cli
-# determinism pass (a parallel sweep must emit a CSV bit-identical to
-# the sequential one), a tile worker pool determinism pass (the same
-# sweep must be bit-identical across --tile-jobs 1/4/8, with the
-# observability sink off and on) and a trace record->verify->replay
-# pass (replaying a recorded trace must emit a CSV bit-identical to
-# the live run, and trace_cli verify must hold). A modelled-output
+# determinism pass (a parallel sweep must emit a CSV and stdout
+# bit-identical to the sequential one), a tile worker pool
+# determinism pass (the same sweep must be bit-identical across
+# --tile-jobs 1/4/8, with the observability sink off and on) and a
+# trace record->verify->replay pass (replaying a recorded trace must
+# emit a CSV bit-identical to the live run, and trace_cli verify must
+# hold). A modelled-output
 # gate then runs perfbench's three workloads for one second each:
 # every cell's framebuffer and stat digests must match the committed
 # perfbench/expected_digests.json, so a fast path that shifts any
@@ -35,9 +36,10 @@
 #    the lock discipline at compile time. Same loud-skip policy when
 #    clang++ is absent.
 #  - ASan+UBSan (-DREGPU_SANITIZE=address) re-runs the unit suites;
-#    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
-#    determinism + contention-stress suites plus the observability
-#    suite (per-thread ring attach/park under an 8-worker pool).
+#    TSan (-DREGPU_SANITIZE=thread) runs the ordered-pool unit
+#    suite, the ParallelRunner determinism + contention-stress suites
+#    plus the observability suite (per-thread ring attach/park under
+#    an 8-worker pool).
 #    test_parallel_stress includes the TilePoolStress suites, so the
 #    intra-frame tile worker pool — including outer sweep workers
 #    crossed with inner tile workers — is TSan-checked automatically.
@@ -222,14 +224,15 @@ run_tsan_pass() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DREGPU_BUILD_BENCHES=OFF -DREGPU_BUILD_EXAMPLES=OFF
 
-    echo "== TSan build (parallel runner + stress + obs suites) =="
+    echo "== TSan build (ordered pool + parallel runner + stress + obs suites) =="
     cmake --build "$TSAN_DIR" -j"$(nproc)" \
-        --target test_parallel_runner test_parallel_stress test_obs
+        --target test_ordered_pool test_parallel_runner \
+                 test_parallel_stress test_obs
 
-    echo "== TSan ctest (determinism + contention stress + obs rings) =="
+    echo "== TSan ctest (ordered pool + determinism + contention stress + obs rings) =="
     (cd "$TSAN_DIR" \
          && ctest --output-on-failure \
-                  -R '^(test_parallel_runner|test_parallel_stress|test_obs)$')
+                  -R '^(test_ordered_pool|test_parallel_runner|test_parallel_stress|test_obs)$')
     gate_end tsan
 }
 
@@ -473,6 +476,19 @@ if [[ "${1:-}" != "--unit" ]]; then
         --assert-conservation
     cmp "$seq_csv" "$par_csv"
     echo "parallel sweep CSV is bit-identical to sequential"
+    # suite_cli has one sweep path: summaries stream in job order as
+    # cells fold, for any --jobs. Its full stdout must not depend on
+    # the worker count or on --progress (which writes stderr only).
+    seq_out=$(mktemp)
+    par_out=$(mktemp)
+    CLEANUP_PATHS+=("$seq_out" "$par_out")
+    "$BUILD_DIR"/suite_cli --workload all --tech base,re --frames 4 \
+        --width 256 --height 160 --jobs 1 > "$seq_out"
+    "$BUILD_DIR"/suite_cli --workload all --tech base,re --frames 4 \
+        --width 256 --height 160 --jobs 4 --progress \
+        > "$par_out" 2> /dev/null
+    cmp "$seq_out" "$par_out"
+    echo "parallel sweep stdout (with --progress) is bit-identical to sequential"
 
     echo "== tile worker pool determinism smoke (--tile-jobs 1/4/8, obs on/off) =="
     # The intra-frame pool's contract: tile-parallel rendering is

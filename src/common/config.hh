@@ -22,7 +22,6 @@ struct CacheParams
     u32 lineBytes = 64;
     u32 ways = 2;
     u32 sizeBytes = 4 * KiB;
-    u32 banks = 1;
     Cycles hitLatency = 1;
 };
 
@@ -78,7 +77,6 @@ struct GpuConfig
     Cycles dramMinLatency = 50;
     Cycles dramMaxLatency = 100;
     u32 dramBytesPerCycle = 4;      //!< dual-channel LPDDR3
-    u64 dramSizeBytes = 1 * MiB * 1024; //!< 1 GB
     /** Memory-controller request queue depth: bounds how far the DRAM
      *  backlog can grow before the producer throttles (contention
      *  model in timing/dram.hh). */
@@ -95,18 +93,16 @@ struct GpuConfig
     u32 fragmentQueueEntries = 64;  //!< 233 B/entry
 
     // --- Caches -----------------------------------------------------------
-    CacheParams vertexCache{"vertexCache", 64, 2, 4 * KiB, 1, 1};
-    CacheParams textureCache{"textureCache", 64, 2, 8 * KiB, 1, 1};
+    CacheParams vertexCache{"vertexCache", 64, 2, 4 * KiB, 1};
+    CacheParams textureCache{"textureCache", 64, 2, 8 * KiB, 1};
     u32 numTextureCaches = 4;
-    CacheParams tileCache{"tileCache", 64, 8, 128 * KiB, 8, 1};
-    CacheParams l2Cache{"l2Cache", 64, 8, 256 * KiB, 8, 2};
-    CacheParams colorBuffer{"colorBuffer", 64, 1, 1 * KiB, 1, 1};
-    CacheParams depthBuffer{"depthBuffer", 64, 1, 1 * KiB, 1, 1};
+    CacheParams tileCache{"tileCache", 64, 8, 128 * KiB, 1};
+    CacheParams l2Cache{"l2Cache", 64, 8, 256 * KiB, 2};
+    CacheParams colorBuffer{"colorBuffer", 64, 1, 1 * KiB, 1};
+    CacheParams depthBuffer{"depthBuffer", 64, 1, 1 * KiB, 1};
 
     // --- Non-programmable stage throughputs -------------------------------
     u32 trianglesPerCycle = 1;      //!< primitive assembly
-    u32 rasterAttrsPerCycle = 16;   //!< rasterizer
-    u32 earlyZInFlightQuads = 32;
 
     // --- Programmable stages ----------------------------------------------
     u32 numVertexProcessors = 1;
@@ -123,7 +119,6 @@ struct GpuConfig
 
     // --- Rendering Elimination parameters ---------------------------------
     u32 otQueueEntries = 16;        //!< Overlapped Tiles Queue depth
-    u32 crcSubblockBytes = 8;       //!< Compute CRC unit sub-block size
     /** Periodically force-render every tile to refresh the Frame Buffer
      *  (0 disables the refresh). */
     u32 refreshPeriodFrames = 0;

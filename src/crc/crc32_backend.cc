@@ -1,19 +1,10 @@
 #include "crc/crc32_backend.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
 #include "crc/crc32.hh"
 
 #if defined(REGPU_HAVE_CLMUL)
 #include <immintrin.h>
-#endif
-#if defined(REGPU_HAVE_ARM_CRC)
-#include <arm_acle.h>
-#if defined(__linux__)
-#include <sys/auxv.h>
-#endif
 #endif
 
 namespace regpu
@@ -113,92 +104,6 @@ clmulSupported()
 
 #endif // REGPU_HAVE_CLMUL
 
-#if defined(REGPU_HAVE_ARM_CRC)
-
-/**
- * ARMv8 CRC32 extension via the reflection isomorphism: crc32x/crc32b
- * implement the reflected engine for rev32(G) = 0xEDB88320, and
- *
- *     rev32(F_nonrefl(crc, bytes))
- *         == F_refl(rev32(crc), rev8-each-byte(bytes))
- *
- * with the reflected engine consuming its 64-bit operand LSByte-first
- * (message order preserved). From a little-endian load, per-byte bit
- * reversal without reordering is rbit64(bswap64(x)).
- */
-__attribute__((target("+crc"))) u32
-appendArm(u32 crc, const u8 *p, std::size_t n)
-{
-    u32 state = __rbit(crc);
-    while (n >= 8) {
-        u64 x;
-        std::memcpy(&x, p, 8);
-        state = __crc32d(state, __rbitll(__builtin_bswap64(x)));
-        p += 8;
-        n -= 8;
-    }
-    while (n > 0) {
-        state = __crc32b(state,
-                         static_cast<u8>(__rbit(static_cast<u32>(*p))
-                                         >> 24));
-        p++;
-        n--;
-    }
-    return __rbit(state);
-}
-
-bool
-armCrcSupported()
-{
-#if defined(__linux__) && defined(HWCAP_CRC32)
-    return (getauxval(AT_HWCAP) & HWCAP_CRC32) != 0;
-#elif defined(__ARM_FEATURE_CRC32)
-    return true;
-#else
-    return false;
-#endif
-}
-
-#endif // REGPU_HAVE_ARM_CRC
-
-CrcBackend
-resolveBackend()
-{
-    const char *env = std::getenv("REGPU_CRC_BACKEND");
-    if (env && *env && std::strcmp(env, "auto") != 0) {
-        if (std::strcmp(env, "portable") == 0)
-            return CrcBackend::Portable;
-        CrcBackend forced;
-        if (std::strcmp(env, "clmul") == 0) {
-            forced = CrcBackend::Clmul;
-        } else if (std::strcmp(env, "arm") == 0) {
-            forced = CrcBackend::ArmCrc;
-        } else {
-            warn("REGPU_CRC_BACKEND=", env,
-                 " not recognised (portable|clmul|arm|auto); using auto");
-            forced = CrcBackend::Portable;
-            env = nullptr;
-        }
-        if (env) {
-            if (crcBackendAvailable(forced))
-                return forced;
-            warn("REGPU_CRC_BACKEND=", env,
-                 " unavailable on this CPU/build; falling back to "
-                 "portable");
-            return CrcBackend::Portable;
-        }
-    }
-#if defined(REGPU_HAVE_CLMUL)
-    if (clmulSupported())
-        return CrcBackend::Clmul;
-#endif
-#if defined(REGPU_HAVE_ARM_CRC)
-    if (armCrcSupported())
-        return CrcBackend::ArmCrc;
-#endif
-    return CrcBackend::Portable;
-}
-
 } // namespace
 
 const char *
@@ -209,8 +114,6 @@ crcBackendName(CrcBackend backend)
         return "portable";
       case CrcBackend::Clmul:
         return "clmul";
-      case CrcBackend::ArmCrc:
-        return "arm";
     }
     return "?";
 }
@@ -227,12 +130,6 @@ crcBackendAvailable(CrcBackend backend)
 #else
         return false;
 #endif
-      case CrcBackend::ArmCrc:
-#if defined(REGPU_HAVE_ARM_CRC)
-        return armCrcSupported();
-#else
-        return false;
-#endif
     }
     return false;
 }
@@ -242,7 +139,9 @@ crcActiveBackend()
 {
     // Resolved exactly once per process; thread-safe magic static,
     // same idiom as CrcTables::instance().
-    static const CrcBackend backend = resolveBackend();
+    static const CrcBackend backend =
+        crcBackendAvailable(CrcBackend::Clmul) ? CrcBackend::Clmul
+                                               : CrcBackend::Portable;
     return backend;
 }
 
@@ -257,13 +156,6 @@ crc32AppendWith(CrcBackend backend, u32 crc, const u8 *data,
 #if defined(REGPU_HAVE_CLMUL)
         REGPU_ASSERT(clmulSupported());
         return appendClmul(crc, data, n);
-#else
-        break;
-#endif
-      case CrcBackend::ArmCrc:
-#if defined(REGPU_HAVE_ARM_CRC)
-        REGPU_ASSERT(armCrcSupported());
-        return appendArm(crc, data, n);
 #else
         break;
 #endif

@@ -7,23 +7,18 @@
  * init, no final XOR, MSB-first bit order. That rules the x86 `crc32`
  * instruction out entirely - it hardwires the *reflected* Castagnoli
  * polynomial and no pre/post bit-shuffle can map it onto a different
- * generator. The hardware paths that *can* produce our F bit-exactly:
+ * generator. The hardware path that *can* produce our F bit-exactly
+ * is x86 PCLMULQDQ folding: 16-byte blocks are carry-less-multiplied
+ * against x^192 mod G and x^128 mod G (derived at runtime from
+ * gf2PowXMod - no magic constants) and XOR-folded, exactly the Intel
+ * "CRC computation using PCLMULQDQ" scheme instantiated for our
+ * non-reflected generator.
  *
- *  - x86: PCLMULQDQ folding. 16-byte blocks are carry-less-multiplied
- *    against x^192 mod G and x^128 mod G (derived at runtime from
- *    gf2PowXMod - no magic constants) and XOR-folded, exactly the
- *    Intel "CRC computation using PCLMULQDQ" scheme instantiated for
- *    our non-reflected generator.
- *  - ARMv8: the `crc32x` instruction implements the *reflection* of
- *    our generator (0xEDB88320 = rev32(0x04C11DB7)), so the standard
- *    reflection isomorphism applies: rev the state and the data bits,
- *    run the reflected engine, rev the result back.
- *
- * Both are validated against crc32Reference / the slice-by-8 portable
- * path by property tests for every byte length; the dispatcher is
- * resolved once per process (thread-safe magic static, the same
- * pattern as CrcTables::instance()) and can be overridden with the
- * environment variable REGPU_CRC_BACKEND=portable|clmul|arm|auto.
+ * CLMUL is validated against crc32Reference / the slice-by-8 portable
+ * path by property tests for every byte length. The portable path is
+ * the reference and the fallback on every other CPU. The dispatcher
+ * picks CLMUL from CPUID, once per process (thread-safe magic static,
+ * the same pattern as CrcTables::instance()).
  */
 
 #ifndef REGPU_CRC_CRC32_BACKEND_HH
@@ -41,18 +36,17 @@ enum class CrcBackend : u8
 {
     Portable, //!< slice-by-8 LUT path (CrcTables), always available
     Clmul,    //!< x86 PCLMULQDQ 128-bit folding
-    ArmCrc,   //!< ARMv8 CRC32 extension via the reflection isomorphism
 };
 
-/** Human-readable backend name ("portable", "clmul", "arm"). */
+/** Human-readable backend name ("portable", "clmul"). */
 const char *crcBackendName(CrcBackend backend);
 
 /** Whether @p backend is usable on this machine (compiled in AND the
  *  CPU advertises the ISA). Portable is always true. */
 bool crcBackendAvailable(CrcBackend backend);
 
-/** The backend the dispatcher resolved for this process: the env
- *  override if set and available, else the fastest available. */
+/** The backend the dispatcher resolved for this process: the
+ *  fastest available. */
 CrcBackend crcActiveBackend();
 
 /**

@@ -74,25 +74,6 @@ allOutside(const std::array<ClipVertex, 3> &tri, int axis, float sign)
 
 } // namespace
 
-ShadedVertex
-GeometryPipeline::shadeVertex(const DrawCall &draw, const Vertex &in) const
-{
-    // This functional step mirrors what GeometryOutput-level code does;
-    // the real transform happens in process() where clipping needs clip
-    // space. Kept for API completeness (used by tests).
-    const UniformSet &u = draw.state.uniforms;
-    Vec4 clip = u.mvp * Vec4(in.position, 1.0f);
-    ShadedVertex sv;
-    float invW = clip.w != 0 ? 1.0f / clip.w : 0.0f;
-    sv.x = (clip.x * invW * 0.5f + 0.5f) * config.screenWidth;
-    sv.y = (clip.y * invW * 0.5f + 0.5f) * config.screenHeight;
-    sv.z = clip.z * invW * 0.5f + 0.5f;
-    sv.invW = invW;
-    sv.color = in.color;
-    sv.texcoord = in.texcoord;
-    return sv;
-}
-
 GeometryOutput
 GeometryPipeline::process(const DrawCall &draw)
 {

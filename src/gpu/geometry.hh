@@ -53,9 +53,6 @@ class GeometryPipeline
     GeometryOutput process(const DrawCall &draw);
 
   private:
-    /** Apply the vertex shader: transform + varying setup. */
-    ShadedVertex shadeVertex(const DrawCall &draw, const Vertex &in) const;
-
     const GpuConfig &config;
     StatRegistry &stats;
     MemTraceSink *mem;

@@ -289,7 +289,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         }
     };
 
-    runTilesOrdered(numTiles, direct ? 1u : tileJobs, phase1, merge);
+    runOrdered(numTiles, direct ? 1u : tileJobs, phase1, merge, "gpu",
+               "tileWorker");
     rasterSpan.reset();
 
     if (hooks)

@@ -133,7 +133,6 @@ struct TileOutcome
     bool flushed = true;        //!< colors written to the Frame Buffer
     bool equalColors = false;   //!< ground truth: same colors as the
                                 //!< comparison frame in the Back Buffer
-    bool equalInputs = false;   //!< signature matched (RE's view)
     TileRenderStats stats;      //!< zeros when skipped
 };
 
@@ -150,7 +149,6 @@ struct FrameResult
      *  work only: no modelled stat depends on the split. */
     u32 shadowRenders = 0;
     u32 shadowHits = 0;
-    bool techniqueActive = true;  //!< false when RE was disabled
 };
 
 /**
@@ -176,7 +174,6 @@ class GraphicsPipeline
      * memoClient() (baseline included); others run in direct mode.
      */
     void setTileJobs(unsigned jobs);
-    unsigned tileJobCount() const { return tileJobs; }
 
     /**
      * Render one frame.

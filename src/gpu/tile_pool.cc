@@ -5,7 +5,6 @@
 #include <exception>
 #include <thread>
 
-#include "common/logging.hh"
 #include "common/thread_annotations.hh"
 #include "obs/obs.hh"
 
@@ -15,12 +14,12 @@ namespace regpu
 namespace
 {
 
-/** Shared pool state for one frame's tile batch: per-tile done flags
- *  published by workers, consumed in order by the merging caller, and
- *  first-exception capture (ParallelRunner's ErrorState discipline).
- *  The condition variable pairs with the annotated mutex; it needs no
- *  capability annotation of its own (waiting releases/reacquires the
- *  mutex internally, invisible to — and safe under — the analysis). */
+/** Shared state of one runOrdered batch: per-item done flags
+ *  published by workers, consumed in order by the folding caller, and
+ *  first-exception capture. The condition variable pairs with the
+ *  annotated mutex; it needs no capability annotation of its own
+ *  (waiting releases/reacquires the mutex internally, invisible to -
+ *  and safe under - the analysis). */
 struct BatchState
 {
     Mutex mutex;
@@ -32,18 +31,19 @@ struct BatchState
 } // namespace
 
 void
-runTilesOrdered(u32 numTiles, unsigned jobs,
-                const std::function<void(TileId)> &phase1,
-                const std::function<void(TileId)> &merge)
+runOrdered(std::size_t count, unsigned jobs,
+           const std::function<void(std::size_t)> &work,
+           const std::function<void(std::size_t)> &fold,
+           const char *spanCat, const char *spanName)
 {
-    if (jobs > numTiles)
-        jobs = numTiles;
+    if (jobs > count)
+        jobs = static_cast<unsigned>(count);
     if (jobs <= 1) {
-        // The serial pipeline, definitionally: phase 1 and its merge
-        // back-to-back per tile, ascending.
-        for (TileId tile = 0; tile < numTiles; tile++) {
-            phase1(tile);
-            merge(tile);
+        // The serial loop, definitionally: work and its fold
+        // back-to-back per item, ascending.
+        for (std::size_t i = 0; i < count; i++) {
+            work(i);
+            fold(i);
         }
         return;
     }
@@ -51,38 +51,39 @@ runTilesOrdered(u32 numTiles, unsigned jobs,
     BatchState state;
     {
         MutexLock lock(state.mutex);
-        state.done.assign(numTiles, 0);
+        state.done.assign(count, 0);
     }
-    // Tile-claim counter: the sanctioned lone-atomic pattern (same as
-    // ParallelRunner's job counter) — claim order is a race by design,
-    // and nothing downstream depends on it because the merge below is
-    // order-fixed.
-    std::atomic<u32> nextTile{0};
+    // Claim counter: the sanctioned lone-atomic pattern - claim order
+    // is a race by design, and nothing downstream depends on it
+    // because the fold below is order-fixed. A failure stores `count`
+    // so no worker claims another item.
+    std::atomic<std::size_t> next{0};
 
     auto workerLoop = [&](unsigned workerIndex) {
-        ObsScope span("gpu", "tileWorker", "worker",
-                      static_cast<i64>(workerIndex), "tiles",
-                      static_cast<i64>(numTiles));
+        ObsScope span(spanCat, spanName, "worker",
+                      static_cast<i64>(workerIndex), "count",
+                      static_cast<i64>(count));
         while (true) {
-            const TileId tile =
-                nextTile.fetch_add(1, std::memory_order_relaxed);
-            if (tile >= numTiles)
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
                 return;
             bool failed = false;
             try {
-                phase1(tile);
+                work(i);
             } catch (...) {
                 failed = true;
+                next.store(count, std::memory_order_relaxed);
                 MutexLock lock(state.mutex);
                 if (!state.firstError)
                     state.firstError = std::current_exception();
             }
             {
                 MutexLock lock(state.mutex);
-                // A failed tile still publishes "done" so the merging
+                // A failed item still publishes "done" so the folding
                 // caller wakes up and sees the error instead of
                 // blocking on a result that will never come.
-                state.done[tile] = failed ? 2 : 1;
+                state.done[i] = failed ? 2 : 1;
             }
             state.ready.notify_all();
         }
@@ -90,36 +91,44 @@ runTilesOrdered(u32 numTiles, unsigned jobs,
 
     std::vector<std::thread> workers;
     workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; w++)
-        workers.emplace_back(workerLoop, w);
+    try {
+        for (unsigned w = 0; w < jobs; w++)
+            workers.emplace_back(workerLoop, w);
+    } catch (...) {
+        // No thread to spawn: stop and join the ones that started
+        // before the exception leaves the frame they reference.
+        next.store(count, std::memory_order_relaxed);
+        for (auto &worker : workers)
+            worker.join();
+        throw;
+    }
 
-    // Eager in-order merge: wait for tile t, fold it, move on. A merge
-    // callback that throws must still join the pool before the
-    // exception propagates, so the loop records rather than throws.
-    std::exception_ptr mergeError;
-    for (TileId tile = 0; tile < numTiles && !mergeError; tile++) {
-        bool tileFailed = false;
+    // Eager in-order fold: wait for item i, fold it, move on. A fold
+    // that throws must still join the pool before the exception
+    // propagates, so the loop records rather than throws.
+    std::exception_ptr foldError;
+    for (std::size_t i = 0; i < count; i++) {
         {
             MutexLock lock(state.mutex);
-            while (state.done[tile] == 0 && !state.firstError)
+            while (state.done[i] == 0 && !state.firstError)
                 state.ready.wait(state.mutex);
-            tileFailed = state.done[tile] != 1
-                || static_cast<bool>(state.firstError);
+            if (state.firstError)
+                break;
         }
-        if (tileFailed)
-            break;
         try {
-            merge(tile);
+            fold(i);
         } catch (...) {
-            mergeError = std::current_exception();
+            foldError = std::current_exception();
+            next.store(count, std::memory_order_relaxed);
+            break;
         }
     }
 
     for (auto &worker : workers)
         worker.join();
 
-    if (mergeError)
-        std::rethrow_exception(mergeError);
+    if (foldError)
+        std::rethrow_exception(foldError);
     MutexLock lock(state.mutex);
     if (state.firstError)
         std::rethrow_exception(state.firstError);

@@ -1,32 +1,32 @@
 /**
  * @file
- * Intra-frame tile worker pool: runs per-tile phase-1 work (raster +
- * shade + signature, side-effect-free against shared state) on worker
- * threads, while the calling thread folds results back in strict
- * ascending tile order — the same bit-identical-for-any-job-count
- * merge discipline ParallelRunner established for sweep cells, one
- * level down (docs/ARCHITECTURE.md spells out the model).
+ * The ordered worker pool, and the tile pool's memory-event recorder.
  *
- * The split the pipeline feeds this with:
+ * runOrdered() is the repo's one thread pool. Work items run on
+ * worker threads in any order; their results are folded back on the
+ * calling thread in strict ascending index order. That in-order fold
+ * is what keeps output bit-identical for any worker count, and it is
+ * used at two levels (docs/ARCHITECTURE.md spells out the model):
  *
- *  - phase1(tile): touches only that tile's private TileTask slot plus
- *    state that is read-only during the raster phase (binned frame,
- *    draws, textures, signature buffers) or per-tile-disjoint (the
- *    Frame Buffer's tile regions). Any claim order is sound.
- *  - merge(tile): everything order-sensitive — MemSystem replay,
- *    StatRegistry folds, signature-buffer writes, Frame Buffer tile
- *    flushes — executed by the caller, eagerly, for tile 0..N-1 as
- *    each phase-1 result becomes ready.
+ *  - frame tiles (GraphicsPipeline, --tile-jobs): work(tile) renders
+ *    and signs one tile into its private task slot, touching only
+ *    state that is read-only during the raster phase or
+ *    per-tile-disjoint; fold(tile) does everything order-sensitive
+ *    (MemSystem replay, StatRegistry folds, signature-buffer writes,
+ *    Frame Buffer tile flushes);
+ *  - sweep cells (ParallelRunner, --jobs): work(i) simulates cell i
+ *    into its result slot; fold(i) reports cell i's progress.
  *
- * With jobs <= 1 no threads are spawned and the pair is executed
- * inline per tile, which is *definitionally* the serial pipeline; the
- * parallel schedule is equivalent because phase-1 writes are disjoint
- * and merge order is fixed.
+ * With jobs <= 1 no threads are spawned and the pair runs inline per
+ * item, which is *definitionally* the serial loop; the parallel
+ * schedule is equivalent because work writes are disjoint and the
+ * fold order is fixed.
  */
 
 #ifndef REGPU_GPU_TILE_POOL_HH
 #define REGPU_GPU_TILE_POOL_HH
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -122,21 +122,25 @@ class MemEventRecorder : public MemTraceSink
 };
 
 /**
- * Execute @p phase1 for every tile in [0, numTiles) on up to @p jobs
- * worker threads (any completion order), and @p merge on the calling
- * thread in strict ascending tile order; merge(t) runs only after
- * phase1(t) returned, eagerly as results arrive (the caller never
- * waits for the whole frame before folding).
+ * Run @p work(i) for every i in [0, count) on up to @p jobs worker
+ * threads (any claim order), and @p fold(i) on the calling thread in
+ * strict ascending order; fold(i) runs only after work(i) returned,
+ * eagerly as results arrive (the caller never waits for the whole
+ * batch before folding).
  *
- * jobs <= 1 executes both inline per tile with no thread spawned.
- * Worker exceptions are captured first-wins and rethrown on the
- * calling thread after all workers joined. Each worker's frame
- * participation is wrapped in an ungated "gpu/tileWorker" ObsScope so
- * Perfetto timelines show pool occupancy.
+ * jobs <= 1 runs both inline per item with no thread spawned. The
+ * first exception a work item throws is rethrown on the calling
+ * thread after every worker joined; fold then has seen only indices
+ * below the failed one. An exception from fold is rethrown the same
+ * way. Either failure stops workers from claiming further items.
+ * Each worker's participation is wrapped in an ungated ObsScope
+ * named @p spanCat / @p spanName (string literals: the obs ring
+ * stores the pointers), so Perfetto timelines show pool occupancy.
  */
-void runTilesOrdered(u32 numTiles, unsigned jobs,
-                     const std::function<void(TileId)> &phase1,
-                     const std::function<void(TileId)> &merge);
+void runOrdered(std::size_t count, unsigned jobs,
+                const std::function<void(std::size_t)> &work,
+                const std::function<void(std::size_t)> &fold,
+                const char *spanCat, const char *spanName);
 
 } // namespace regpu
 

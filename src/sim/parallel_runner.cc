@@ -1,18 +1,16 @@
 #include "sim/parallel_runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/thread_annotations.hh"
 #include "crc/hashes.hh"
+#include "gpu/tile_pool.hh"
 #include "obs/obs.hh"
 #include "trace/trace_scene.hh"
 #include "trace/trace_writer.hh"
@@ -21,32 +19,6 @@
 
 namespace regpu
 {
-
-namespace
-{
-
-/** Progress fold shared by the worker pool: the tracker is guarded,
- *  and one critical section around fold + callback keeps delivered
- *  done counts monotone (order-stable) across workers. */
-struct ProgressState
-{
-    ProgressState(std::size_t total, unsigned workers)
-        : tracker(total, workers)
-    {}
-
-    Mutex mutex;
-    ProgressTracker tracker REGPU_GUARDED_BY(mutex);
-};
-
-/** First-exception capture of the worker pool (rethrown on the caller
- *  thread after the pool drains). */
-struct ErrorState
-{
-    Mutex mutex;
-    std::exception_ptr first REGPU_GUARDED_BY(mutex);
-};
-
-} // namespace
 
 u64
 deriveJobSeed(u64 baseSeed, const std::string &alias, u64 salt)
@@ -183,10 +155,6 @@ std::vector<SimResult>
 ParallelRunner::run(const std::vector<SimJob> &jobs,
                     const ProgressFn &progress) const
 {
-    std::vector<SimResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
     // Reject bad jobs on the calling thread: fatal() calls
     // std::exit(), which must never run on a worker while siblings
     // are mid-simulation. Live jobs must name a suite alias. Replay
@@ -210,12 +178,11 @@ ParallelRunner::run(const std::vector<SimJob> &jobs,
                   " frames");
     }
 
-    const unsigned pool =
-        static_cast<unsigned>(std::min<std::size_t>(workers, jobs.size()));
+    std::vector<SimResult> results(jobs.size());
+    std::vector<double> cellSeconds(jobs.size());
+    ProgressTracker tracker(jobs.size(), workers);
 
-    ProgressState progressState(jobs.size(), pool);
-
-    auto runOne = [&](std::size_t i) {
+    auto simulate = [&](std::size_t i) {
         const SimJob &job = jobs[i];
         const u64 startNs = obsNowNs();
         {
@@ -239,51 +206,17 @@ ParallelRunner::run(const std::vector<SimJob> &jobs,
                 results[i] = sim.run();
             }
         }
-        if (progress) {
-            const double secs =
-                static_cast<double>(obsNowNs() - startNs) * 1e-9;
-            MutexLock lock(progressState.mutex);
-            progress(progressState.tracker.cellDone(i, secs));
-        }
+        cellSeconds[i] = static_cast<double>(obsNowNs() - startNs) * 1e-9;
     };
-
-    if (pool <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); i++)
-            runOne(i);
-        return results;
-    }
-
-    std::atomic<std::size_t> nextJob{0};
-    ErrorState errorState;
-
-    auto workerLoop = [&]() {
-        while (true) {
-            const std::size_t i =
-                nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            try {
-                runOne(i);
-            } catch (...) {
-                MutexLock lock(errorState.mutex);
-                if (!errorState.first)
-                    errorState.first = std::current_exception();
-            }
-        }
+    auto deliverProgress = [&](std::size_t i) {
+        if (!progress)
+            return;
+        ProgressUpdate u = tracker.cellDone(i, cellSeconds[i]);
+        u.result = &results[i];
+        progress(u);
     };
-
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (unsigned t = 0; t < pool; t++)
-        threads.emplace_back(workerLoop);
-    for (auto &t : threads)
-        t.join();
-
-    {
-        MutexLock lock(errorState.mutex);
-        if (errorState.first)
-            std::rethrow_exception(errorState.first);
-    }
+    runOrdered(jobs.size(), workers, simulate, deliverProgress, "sweep",
+               "cellWorker");
     return results;
 }
 

@@ -146,18 +146,20 @@ struct ProgressUpdate
     double cellSeconds = 0;    //!< wall time of that cell
     double ewmaCellSeconds = 0;//!< smoothed per-cell time
     double etaSeconds = 0;     //!< remaining / effective parallelism
+    /** The finished cell's result (the slot run() returns); null in
+     *  samples built by a bare ProgressTracker. */
+    const SimResult *result = nullptr;
 };
 
-/** Invoked after each finished cell. ParallelRunner serializes the
- *  calls and delivers monotonically increasing `done` counts
- *  (order-stable), from worker threads — keep the body short. */
+/** Invoked once per finished cell, on the thread that called
+ *  ParallelRunner::run, in job order (jobIndex == done - 1) for any
+ *  worker count. A slow body delays later deliveries, not workers. */
 using ProgressFn = std::function<void(const ProgressUpdate &)>;
 
 /**
  * Folds per-cell wall times into EWMA + ETA progress samples. Not
- * thread-safe by itself: callers serialise cellDone() (ParallelRunner
- * guards it with a mutex; single-threaded streaming loops need
- * nothing).
+ * thread-safe; ParallelRunner only calls it from its in-order fold
+ * on the calling thread.
  */
 class ProgressTracker
 {
@@ -179,7 +181,9 @@ class ProgressTracker
 };
 
 /**
- * Fixed-size worker pool over a job vector.
+ * Fixed-size worker pool over a job vector: the cells run on
+ * runOrdered() (gpu/tile_pool.hh), the same ordered pool that
+ * renders a frame's tiles.
  */
 class ParallelRunner
 {
@@ -193,13 +197,13 @@ class ParallelRunner
     /**
      * Run every job and return results in job order. Unknown workload
      * aliases are rejected with fatal() on the calling thread before
-     * any worker starts; any exception thrown by a running job is
-     * captured and rethrown on the caller thread after the pool
-     * drains.
+     * any worker starts; the first exception thrown by a running job
+     * is rethrown on the caller thread after the pool drains.
      *
-     * @p progress, when set, is invoked once per finished cell
-     * (serialized, monotone done counts); it observes execution order
-     * only — results stay bit-identical for any worker count.
+     * @p progress, when set, is invoked once per cell in job order on
+     * the calling thread, each as soon as that cell and every cell
+     * before it finished, carrying the cell's result. Results stay
+     * bit-identical for any worker count.
      */
     std::vector<SimResult> run(const std::vector<SimJob> &jobs,
                                const ProgressFn &progress) const;

@@ -84,9 +84,6 @@ struct SimResult
 struct SimOptions
 {
     u64 frames = 30;
-    u64 warmupFrames = 2;  //!< excluded from per-frame averages? kept
-                           //!< simple: all frames accounted, warmup
-                           //!< only seeds the signature history
     bool groundTruth = true;
     HashKind hashKind = HashKind::Crc32;
 

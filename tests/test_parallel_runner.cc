@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
 
 #include "sim/parallel_runner.hh"
 #include "workloads/workloads.hh"
@@ -132,11 +134,26 @@ TEST(ParallelRunner, ResultsInJobOrderNotCompletionOrder)
         jobs.push_back(light);
     }
 
-    const std::vector<SimResult> res = ParallelRunner(4).run(jobs);
+    // Progress arrives in job order on the calling thread even though
+    // the heavy first cell finishes last, and carries each result.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    std::vector<std::string> delivered;
+    const std::vector<SimResult> res =
+        ParallelRunner(4).run(jobs, [&](const ProgressUpdate &u) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_EQ(u.done, order.size() + 1);
+            order.push_back(u.jobIndex);
+            ASSERT_NE(u.result, nullptr);
+            delivered.push_back(u.result->workload);
+        });
     ASSERT_EQ(res.size(), 4u);
     EXPECT_EQ(res[0].workload, "mst");
     for (int i = 1; i < 4; i++)
         EXPECT_EQ(res[i].workload, "ccs");
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(delivered,
+              (std::vector<std::string>{"mst", "ccs", "ccs", "ccs"}));
 }
 
 TEST(ParallelRunner, MergeSumsEveryCounter)

@@ -229,14 +229,21 @@ TEST(ParallelStress, ObsSinkEnabledWhileRunnersHammerSharedTraceCache)
 
     ObsSink::instance().disable();
 
-    // 4 runner threads x 4 workers attached rings (the runner threads
-    // themselves also record), and nothing raced: the flush must
-    // produce loadable trace JSON with the runner spans present.
-    EXPECT_GE(ObsSink::instance().threadCount(), 16u);
+    // Nothing raced and nothing was lost: the flush is loadable trace
+    // JSON holding exactly one runner job span per (runner, job), and
+    // no ring overflowed. (How many rings attached is a scheduling
+    // accident - parked rings are reused - so it is not asserted.)
+    EXPECT_EQ(ObsSink::instance().droppedEvents(), 0u);
     std::ostringstream trace;
     ObsSink::instance().writeTraceJson(trace);
     EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(trace.str().find("\"runner\""), std::string::npos);
+    std::istringstream lines(trace.str());
+    std::size_t jobSpans = 0;
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("\"cat\":\"runner\",\"ph\":\"X\"")
+            != std::string::npos)
+            jobSpans++;
+    EXPECT_EQ(jobSpans, results.size() * jobs.size());
 
     for (std::size_t t = 0; t < results.size(); t++) {
         ASSERT_EQ(results[t].size(), jobs.size());
