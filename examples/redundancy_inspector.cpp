@@ -6,12 +6,13 @@
  * colors were equal anyway (RE false negative - TE's extra headroom).
  *
  * Usage: redundancy_inspector [alias] [frames]
+ * (frames is a strict decimal: a typo is fatal, not truncated)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "sim/parallel_runner.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -22,7 +23,7 @@ main(int argc, char **argv)
 {
     setInformEnabled(false);
     std::string alias = argc > 1 ? argv[1] : "ctr";
-    u64 frames = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6;
+    u64 frames = argc > 2 ? parseCountArg("frames", argv[2]) : 6;
 
     GpuConfig config;
     config.scaleResolution(400, 256); // 25x16 tile grid fits a terminal

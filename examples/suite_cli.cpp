@@ -7,8 +7,7 @@
  *   suite_cli [--workload ALIAS|all] [--tech base,re,te,memo]
  *             [--frames N] [--width W --height H]
  *             [--hash crc32|xor|add|fnv] [--csv FILE] [--json FILE]
- *             [--timing-json FILE] [--quiet] [--jobs N]
- *             [--tile-jobs N] [--seed N]
+ *             [--quiet] [--jobs N] [--tile-jobs N] [--seed N]
  *             [--record-dir DIR] [--replay-dir DIR]
  *             [--assert-conservation] [--obs-dir DIR] [--obs-tiles]
  *             [--progress]
@@ -34,12 +33,8 @@
  * --replay-dir feeds the runs from those traces instead of live scene
  * generation — results are bit-identical to the recorded live run.
  * --json appends one self-describing JSON object per run (JSON-Lines).
- * --timing-json writes host-side wall-clock timing of the sweep as a
- * machine-readable benchmark document (sim/bench_json.hh):
- * sweep.wallSeconds always, plus one cell.<alias>.<tech>.wallSeconds
- * per cell when the sweep runs on a single worker (per-cell wall
- * times of concurrent cells would measure scheduling, not work).
- * scripts/bench.py aggregates these into BENCH_e2e.json.
+ * --frames, --width and --height are strict decimals: a typo such as
+ * "1O" or "64x" is fatal, not truncated.
  * --assert-conservation exits fatally if any run reports a non-zero
  * mem.conservationViolations stat (a memory-hierarchy routing path
  * double-charged or dropped bytes) — the CI traffic-conservation
@@ -56,15 +51,14 @@
  * time, ETA) on stderr, also in job order; stdout is untouched.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "obs/obs.hh"
-#include "sim/bench_json.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -85,7 +79,6 @@ struct CliOptions
     HashKind hash = HashKind::Crc32;
     std::string csvPath;
     std::string jsonPath;
-    std::string timingJsonPath;
     std::string recordDir;
     std::string replayDir;
     std::string obsDir;
@@ -109,13 +102,23 @@ usage()
                  "[--tech base,re,te,memo] [--frames N]\n"
                  "                 [--width W --height H] "
                  "[--hash crc32|xor|add|fnv] [--csv FILE] "
-                 "[--json FILE] [--timing-json FILE] [--quiet]\n"
+                 "[--json FILE] [--quiet]\n"
                  "                 [--jobs N] [--tile-jobs N] [--seed N] "
                  "[--record-dir DIR] [--replay-dir DIR] "
                  "[--assert-conservation]\n"
                  "                 [--obs-dir DIR] [--obs-tiles] "
                  "[--progress]\n");
     std::exit(2);
+}
+
+/** parseCountArg for a screen dimension: it must also fit u32. */
+u32
+parseDimensionArg(const char *flag, const char *text)
+{
+    const u64 v = parseCountArg(flag, text);
+    if (v > std::numeric_limits<u32>::max())
+        fatal(flag, " expects a number that fits 32 bits, got: ", text);
+    return static_cast<u32>(v);
 }
 
 CliOptions
@@ -145,21 +148,17 @@ parseArgs(int argc, char **argv)
             while (std::getline(ss, item, ','))
                 opts.techniques.push_back(parseTechniqueArg(item));
         } else if (arg == "--frames") {
-            opts.frames = std::strtoull(next(i), nullptr, 10);
+            opts.frames = parseCountArg("--frames", next(i));
         } else if (arg == "--width") {
-            opts.width = static_cast<u32>(
-                std::strtoul(next(i), nullptr, 10));
+            opts.width = parseDimensionArg("--width", next(i));
         } else if (arg == "--height") {
-            opts.height = static_cast<u32>(
-                std::strtoul(next(i), nullptr, 10));
+            opts.height = parseDimensionArg("--height", next(i));
         } else if (arg == "--hash") {
             opts.hash = parseHashArg(next(i));
         } else if (arg == "--csv") {
             opts.csvPath = next(i);
         } else if (arg == "--json") {
             opts.jsonPath = next(i);
-        } else if (arg == "--timing-json") {
-            opts.timingJsonPath = next(i);
         } else if (arg == "--record-dir") {
             opts.recordDir = next(i);
         } else if (arg == "--replay-dir") {
@@ -246,13 +245,6 @@ main(int argc, char **argv)
     }
 
     ParallelRunner runner(opts.jobs);
-    // Per-cell wall times of concurrent cells would measure
-    // scheduling, not work: record them only on a single worker.
-    const bool cellTiming =
-        !opts.timingJsonPath.empty() && runner.workerCount() <= 1;
-
-    BenchJsonWriter timing;
-    const auto sweepStart = std::chrono::steady_clock::now();
 
     // Every cell reports here, on this thread and in job order, as
     // soon as it and every cell before it finished: summaries stream
@@ -263,11 +255,6 @@ main(int argc, char **argv)
     auto reportCell = [&](const ProgressUpdate &u) {
         const SimJob &job = jobs[u.jobIndex];
         const SimResult &r = *u.result;
-        if (cellTiming)
-            timing.add("cell." + job.workload + "."
-                           + techniqueName(job.config.technique)
-                           + ".wallSeconds",
-                       "s", /*higherIsBetter=*/false, u.cellSeconds);
         if (opts.progress) {
             std::fprintf(
                 stderr,
@@ -301,15 +288,6 @@ main(int argc, char **argv)
     };
     const std::vector<SimResult> sweepResults =
         runner.run(jobs, reportCell);
-
-    if (!opts.timingJsonPath.empty()) {
-        timing.add("sweep.wallSeconds", "s", /*higherIsBetter=*/false,
-                   std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - sweepStart)
-                       .count());
-        timing.writeFile(opts.timingJsonPath);
-        std::cout << "wrote " << opts.timingJsonPath << "\n";
-    }
 
     if (!opts.quiet && sweepResults.size() > 1) {
         const SimResult agg = mergeResults(sweepResults);

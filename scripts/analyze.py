@@ -5,7 +5,7 @@ cannot see.
 scripts/lint.py polices single-file bug classes; this tool holds the
 *relationships* between files — the layering DAG of src/, header
 hygiene, and the name-level contracts between the simulator, its
-tests, the bench harness and the README. It is stdlib-only (it
+tests, the bench drivers and the README. It is stdlib-only (it
 imports the C++ lexer from lint.py, nothing else) and runs in a bare
 container, so it is part of the *unconditional* tier-1 gate in
 scripts/check.sh.
@@ -29,15 +29,15 @@ Rules (ids are stable; see --list-rules):
                 double-definition landmine, breaks the one-TU-per-
                 source CMake model.
   stat-name     Stat names referenced by tests (counter("x.y") /
-                scalar("x.y")), README backticks and scripts/bench.py
-                must exist in src/ — either a stats registration
-                (.inc/.add/.set) or an obs cat.name composition
+                scalar("x.y")) and README backticks must exist in
+                src/ — either a stats registration (.inc/.add/.set)
+                or an obs cat.name composition
                 (ObsScope/obsCounter/obsInstant). Catches phantom
                 stats left behind by renames. Only dotted names whose
                 prefix is an actual src/ stat/obs prefix are gated, so
-                unrelated dotted tokens (file names, bench record ids)
-                never false-positive; test files may also register
-                their own names locally.
+                unrelated dotted tokens (file names, JSON keys) never
+                false-positive; test files may also register their
+                own names locally.
   csv-schema    The CSV/JSON run schema is written in three places:
                 csvColumns() and writeJsonRun() in src/sim/report.cc,
                 and the column-reference table in README.md (between
@@ -370,18 +370,6 @@ def find_stat_name(tree: Tree) -> List[Violation]:
                     f"README documents stat `{name}`, which exists "
                     "nowhere in src/ (renamed or removed?)"))
 
-    # bench.py: dotted string literals with a known prefix.
-    bench = tree.get("scripts/bench.py")
-    if bench is not None:
-        for m in re.finditer(r"""["']([A-Za-z_]\w*(?:\.[\w.]+)+)["']""",
-                             bench.raw):
-            name = m.group(1)
-            if gated(name) and name not in known:
-                out.append(Violation(
-                    bench.path, line_of(bench.raw, m.start()),
-                    "stat-name",
-                    f'bench.py names stat "{name}", which exists '
-                    "nowhere in src/ (renamed or removed?)"))
     return out
 
 
@@ -561,7 +549,7 @@ RULES: List[TreeRule] = [
              "no #include of .cc files",
              find_include_cc),
     TreeRule("stat-name",
-             "stat names in tests/README/bench.py exist in src/",
+             "stat names in tests/README exist in src/",
              find_stat_name),
     TreeRule("csv-schema",
              "CSV columns == JSON keys (mod identity) == README table",
@@ -578,7 +566,7 @@ RULES: List[TreeRule] = [
 # --- Scanning ---------------------------------------------------------------
 
 SCAN_DIRS = ("src", "bench", "examples", "tests")
-EXTRA_FILES = ("README.md", "scripts/bench.py")
+EXTRA_FILES = ("README.md",)
 
 
 def make_file(path: str, raw: str) -> FileText:
@@ -699,9 +687,7 @@ FIXTURES = {
           '    s.inc("raster.local");\n'
           '    EXPECT_EQ(counter("raster.tiles"), 1u);\n'
           '    EXPECT_EQ(counter("raster.local"), 1u);\n'
-          '    EXPECT_EQ(counter("unrelated.dotted.name"), 0u);\n}\n'),
-         "scripts/bench.py":
-         'NAME = "pipeline.total.framesPerSecond"\n'},
+          '    EXPECT_EQ(counter("unrelated.dotted.name"), 0u);\n}\n')},
     ),
     "csv-schema": (
         {"src/sim/report.cc": BASE_REPORT.replace(

@@ -11,7 +11,9 @@
 # --tile-jobs 1/4/8, with the observability sink off and on) and a
 # trace record->verify->replay pass (replaying a recorded trace must
 # emit a CSV bit-identical to the live run, and trace_cli verify must
-# hold). A modelled-output
+# hold). The smokes gate also runs every micro_* bench binary once
+# (micro_crc only when google-benchmark was found) and proves that
+# suite_cli rejects a malformed --frames or --width. A modelled-output
 # gate then runs perfbench's three workloads for one second each:
 # every cell's framebuffer and stat digests must match the committed
 # perfbench/expected_digests.json, so a fast path that shifts any
@@ -58,10 +60,11 @@
 #   scripts/check.sh --tsa       # clang thread-safety analysis only
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
 #   scripts/check.sh --sanitize  # ASan+UBSan build + unit tests only
-#   scripts/check.sh --bench     # bench-harness smoke: one S-profile
-#                                # pass, schema-validate BENCH_*.json,
-#                                # prove --compare fails on a synthetic
-#                                # regression (timings NOT gated)
+#   scripts/check.sh --bench     # perfbench self-tests
+#                                # (perfbench/test_run.py: percentile
+#                                # rules, the digest gate with a wrong,
+#                                # missing or timed-out run, and the
+#                                # regpu_bench binary; about a minute)
 #   scripts/check.sh --obs       # observability smoke: sweep with
 #                                # --obs-dir, validate the timeline
 #                                # JSON / per-frame JSONL / heatmap
@@ -251,40 +254,12 @@ run_sanitize_pass() {
     gate_end asan
 }
 
-run_bench_smoke() {
+run_bench_pass() {
     gate_begin bench
-    echo "== bench harness smoke (S profile, 1 repeat; timings non-gating) =="
-    local bench_dir
-    bench_dir=$(mktemp -d)
-    trap 'rm -rf "$bench_dir"' RETURN
-    python3 scripts/bench.py --profile S --repeat 1 --warmup 0 \
-        --build-dir "$BUILD_DIR" --no-build --out-dir "$bench_dir"
-    python3 scripts/bench.py --validate \
-        "$bench_dir"/BENCH_crc.json "$bench_dir"/BENCH_trace.json \
-        "$bench_dir"/BENCH_memsystem.json "$bench_dir"/BENCH_e2e.json
-
-    echo "== bench --compare regression gate smoke =="
-    # Inject a synthetic 2x slowdown; --compare must exit non-zero.
-    python3 - "$bench_dir"/BENCH_e2e.json "$bench_dir"/BENCH_e2e_bad.json \
-        <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for b in doc["benchmarks"]:
-    b["median"] *= 0.5 if b["better"] == "higher" else 2.0
-    b["samples"] = [b["median"]]
-json.dump(doc, open(sys.argv[2], "w"), indent=2)
-EOF
-    if python3 scripts/bench.py --compare "$bench_dir"/BENCH_e2e.json \
-        "$bench_dir"/BENCH_e2e_bad.json --fail-threshold 10 \
-        > /dev/null; then
-        echo "ERROR: --compare did not flag a 2x synthetic regression" >&2
-        exit 1
-    fi
-    echo "synthetic regression correctly rejected"
-    # And the identity comparison must pass.
-    python3 scripts/bench.py --compare "$bench_dir"/BENCH_e2e.json \
-        "$bench_dir"/BENCH_e2e.json > /dev/null
-    echo "identity comparison correctly accepted"
+    echo "== perfbench self-tests (harness logic + regpu_bench digests) =="
+    # Builds perfbench/regpu_bench into .bench_build/ itself, as
+    # perfbench/run.py does.
+    python3 perfbench/test_run.py
     gate_end bench
 }
 
@@ -424,8 +399,7 @@ case "${1:-}" in
   --bench)
     run_lint_pass
     run_analyze_pass
-    run_build_pass
-    run_bench_smoke
+    run_bench_pass
     echo "== OK =="
     exit 0
     ;;
@@ -525,8 +499,28 @@ if [[ "${1:-}" != "--unit" ]]; then
     cmp "$seq_csv" "$replay_csv"
     echo "trace replay CSV is bit-identical to the live run"
 
-    echo "== micro_memsystem hierarchy-walk smoke =="
+    echo "== strict numeric flag smoke =="
+    # A typo in a count must be fatal, never truncated to a prefix.
+    for bad in "--frames 1O" "--width 64x"; do
+        # shellcheck disable=SC2086 # split "flag value" on purpose
+        if "$BUILD_DIR"/suite_cli --workload ccs --tech base --frames 1 \
+            --width 64 --height 64 --quiet $bad 2> /dev/null; then
+            echo "ERROR: suite_cli accepted $bad" >&2
+            exit 1
+        fi
+    done
+    echo "suite_cli rejects --frames 1O and --width 64x"
+
+    echo "== micro bench binary smokes =="
     "$BUILD_DIR"/micro_memsystem --accesses 200000 --mix-frames 4
+    "$BUILD_DIR"/micro_pipeline --workload ccs --tech base,re --frames 2 \
+        --width 256 --height 160
+    "$BUILD_DIR"/micro_trace --fast --frames 2
+    if [[ -x "$BUILD_DIR"/micro_crc ]]; then
+        "$BUILD_DIR"/micro_crc --benchmark_min_time=0.01
+    else
+        echo "micro_crc not built (google-benchmark not found)"
+    fi
     gate_end smokes
 
     run_digest_pass

@@ -54,16 +54,15 @@ class StreamFormatGuard
  * back to exactly the same double (std::to_chars round-trip
  * semantics). Locale-independent and immune to whatever
  * std::fixed/precision state the stream carries — the contract every
- * persisted artifact (CSV, JSON, BENCH_*.json) relies on. Non-finite
+ * persisted artifact (CSV, JSON) relies on. Non-finite
  * values are clamped to 0 ("inf"/"nan" are not valid JSON or CSV
  * numbers).
  */
 std::ostream &writeRoundTripDouble(std::ostream &os, double v);
 
 /**
- * Minimal JSON string escaping (quotes, backslashes, control chars).
- * Shared by every JSON-emitting frontend (writeJsonRun, the bench
- * machine-readable outputs).
+ * Minimal JSON string escaping (quotes, backslashes, control chars),
+ * as writeJsonRun emits workload names.
  */
 std::string jsonEscape(const std::string &s);
 
